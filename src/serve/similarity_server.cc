@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -38,27 +40,6 @@ common::Status ValidateQuery(const geo::Trajectory& query, size_t k) {
   return common::Status::Ok();
 }
 
-// Deterministic ordering: by exact distance, index breaking ties.
-void SortAndTruncate(std::vector<std::pair<double, size_t>>& scored,
-                     size_t k) {
-  const size_t take = std::min(k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + take, scored.end());
-  scored.resize(take);
-}
-
-QueryResult ToResult(std::vector<std::pair<double, size_t>> scored,
-                     ServeTier tier) {
-  QueryResult result;
-  result.tier = tier;
-  result.indices.reserve(scored.size());
-  result.distances.reserve(scored.size());
-  for (const auto& [d, i] : scored) {
-    result.indices.push_back(i);
-    result.distances.push_back(d);
-  }
-  return result;
-}
-
 // RAII release of an admission slot.
 struct AdmissionGuard {
   explicit AdmissionGuard(Admission& admission) : admission(admission) {}
@@ -66,7 +47,49 @@ struct AdmissionGuard {
   Admission& admission;
 };
 
+// Runs one micro-batch stage on the shared pool. Stage completion is
+// tracked by the server's inflight_batches_, not the pool future.
+void RunOnPool(std::function<void()> stage) {
+  static_cast<void>(common::ThreadPool::Global().Submit(std::move(stage)));
+}
+
 }  // namespace
+
+// One query on its way through the stages. EncodeStage decides `status`
+// and, while tier 1 is up, leaves either an `embedding` or a tier-1
+// error; SearchStage turns the embedding into `nearest` or a tier-1
+// error; FinishLadder consumes the rest.
+struct SimilarityServer::Member {
+  Member(const geo::Trajectory* q, size_t top_k, const common::Deadline& d)
+      : query(q), k(top_k), deadline(d) {}
+
+  const geo::Trajectory* query;
+  size_t k;
+  common::Deadline deadline;
+  // Non-OK once validation or the 'admission' check has decided the
+  // answer; the ladder then never runs.
+  common::Status status;
+  // Why tier 1 fell through before its exact-rank step (breaker open,
+  // encode or index-search failure).
+  common::Status tier1;
+  // Empty unless the member was encoded and still awaits its search.
+  std::vector<float> embedding;
+  // Tier 1's candidate pool: the embedding HNSW hits, in embedding order.
+  std::vector<size_t> nearest;
+};
+
+struct SimilarityServer::Candidates {
+  std::vector<size_t> ids;
+  // The tier could not consult all of its live data (QueryResult::partial).
+  bool partial = false;
+};
+
+// A closed micro-batch: members[i] answers requests[i], whose query it
+// points at.
+struct SimilarityServer::BatchState {
+  std::vector<BatchRequest> requests;
+  std::vector<Member> members;
+};
 
 const char* ServeTierName(ServeTier tier) {
   switch (tier) {
@@ -149,6 +172,11 @@ common::StatusOr<std::unique_ptr<SimilarityServer>> SimilarityServer::Create(
   if (config.queue_capacity == 0) {
     return common::InvalidArgumentError(
         "serving queue_capacity must be positive");
+  }
+  if (config.batching.max_batch_size == 0) {
+    // The dispatcher would close an empty batch on the first submit.
+    return common::InvalidArgumentError(
+        "serving batching.max_batch_size must be positive");
   }
   if (config.sketch_points == 0) {
     return common::InvalidArgumentError(
@@ -234,7 +262,6 @@ common::StatusOr<std::unique_ptr<SimilarityServer>> SimilarityServer::Create(
       for (const std::vector<float>& e : embeddings) {
         server->embedding_index_->Add(e);
       }
-      server->embedding_tier_ok_ = true;
     }
   }
 
@@ -258,7 +285,6 @@ common::StatusOr<std::unique_ptr<SimilarityServer>> SimilarityServer::Create(
     for (const std::vector<float>& s : sketches) {
       server->feature_index_->Add(s);
     }
-    server->rerank_tier_ok_ = true;
   }
 
   // The compaction daemon comes up last, once the server is fully
@@ -292,221 +318,112 @@ SimilarityServer::CreateFromFile(const ServerConfig& config,
   return server;
 }
 
-common::StatusOr<std::vector<double>> SimilarityServer::ExactDistances(
-    const geo::Trajectory& query, const std::vector<size_t>& indices,
-    const common::Deadline& deadline, const char* stage) const {
-  std::vector<double> distances;
-  distances.reserve(indices.size());
-  // Exact metrics are DTW-like (quadratic in trajectory length), so one
-  // candidate is already a chunky unit of work: poll every candidate.
-  common::DeadlinePoller poller(&deadline, /*stride=*/1);
-  for (size_t i : indices) {
-    TMN_RETURN_IF_ERROR(poller.Check(stage));
-    distances.push_back(metric_->Compute(query, database_[i]));
-  }
-  return distances;
-}
+// ---------------------------------------------------------------------
+// The stages. Every breaker rule lives in EncodeStage: AllowRequest per
+// member before encode; a deadline expiry records Abandoned (it says
+// nothing about model health), any other encode failure records Failure,
+// success records Success; index failures fall through to tier 2 with no
+// breaker penalty, because the breaker isolates the model, not the index.
+// A member that never passed AllowRequest never records anything.
 
-common::StatusOr<QueryResult> SimilarityServer::TryEmbeddingTier(
-    const geo::Trajectory& query, size_t k,
-    const common::Deadline& deadline) const {
-  if (!breaker_.AllowRequest()) {
-    return common::UnavailableError(
-        "circuit breaker open: tier-1 inference short-circuited");
+void SimilarityServer::EncodeStage(std::vector<Member>& members) const {
+  static obs::Counter& timed_out = ServeCounter("tmn.serve.timed_out");
+  std::vector<eval::BatchEncodeRequest> to_encode;
+  std::vector<Member*> encoding;
+  for (Member& member : members) {
+    member.status = ValidateQuery(*member.query, member.k);
+    if (!member.status.ok()) continue;
+    member.status = common::CheckDeadline(member.deadline, "admission");
+    if (!member.status.ok()) {
+      timed_out.Increment();
+      continue;
+    }
+    if (!embedding_tier_available()) continue;
+    if (!breaker_.AllowRequest()) {
+      member.tier1 = common::UnavailableError(
+          "circuit breaker open: tier-1 inference short-circuited");
+      continue;
+    }
+    to_encode.push_back(
+        eval::BatchEncodeRequest{member.query, member.deadline});
+    encoding.push_back(&member);
   }
-  common::StatusOr<std::vector<float>> embedding =
-      eval::EncodeTrajectory(*model_, query, deadline);
-  if (!embedding.ok()) {
-    // A deadline expiry says nothing about model health; anything else
-    // counts toward opening the breaker.
-    if (embedding.status().code() == common::StatusCode::kDeadlineExceeded) {
+  if (to_encode.empty()) return;
+  std::vector<common::StatusOr<std::vector<float>>> encoded =
+      eval::EncodeTrajectoriesBatched(*model_, to_encode);
+  for (size_t j = 0; j < encoded.size(); ++j) {
+    if (encoded[j].ok()) {
+      breaker_.RecordSuccess();
+      encoding[j]->embedding = std::move(encoded[j].value());
+      continue;
+    }
+    if (encoded[j].status().code() == common::StatusCode::kDeadlineExceeded) {
       breaker_.RecordAbandoned();
     } else {
       breaker_.RecordFailure();
     }
-    return embedding.status();
+    encoding[j]->tier1 = encoded[j].status();
   }
-  breaker_.RecordSuccess();
-  common::StatusOr<std::vector<size_t>> nearest =
-      embedding_index_->NearestChecked(
-          embedding.value(), std::min(k, database_.size()), /*ef=*/0,
-          deadline);
-  // Index failures fall through to tier 2 without a breaker penalty: the
-  // breaker isolates the model, not the index.
-  if (!nearest.ok()) return nearest.status();
-  common::StatusOr<std::vector<double>> distances =
-      ExactDistances(query, nearest.value(), deadline, "tier1-distances");
-  if (!distances.ok()) return distances.status();
-  QueryResult result;
-  result.indices = std::move(nearest.value());
-  result.distances = std::move(distances.value());
-  result.tier = ServeTier::kEmbeddingAnn;
-  return result;
 }
 
-common::StatusOr<QueryResult> SimilarityServer::TryRerankTier(
-    const geo::Trajectory& query, size_t k,
-    const common::Deadline& deadline) const {
-  const std::vector<float> sketch =
-      SketchTrajectory(query, config_.sketch_points);
-  const size_t pool = std::min(std::max(config_.rerank_candidates, k),
-                               database_.size());
-  common::StatusOr<std::vector<size_t>> candidates =
-      feature_index_->NearestChecked(sketch, pool, /*ef=*/0, deadline);
-  if (!candidates.ok()) return candidates.status();
-  std::vector<std::pair<double, size_t>> scored;
-  scored.reserve(candidates.value().size());
-  common::DeadlinePoller poller(&deadline, /*stride=*/1);
-  for (size_t i : candidates.value()) {
-    TMN_RETURN_IF_ERROR(poller.Check("rerank"));
-    scored.emplace_back(metric_->Compute(query, database_[i]), i);
-  }
-  SortAndTruncate(scored, k);
-  return ToResult(std::move(scored), ServeTier::kExactRerank);
-}
-
-common::StatusOr<QueryResult> SimilarityServer::TrySegmentedTier(
-    const geo::Trajectory& query, size_t k,
-    const common::Deadline& deadline) const {
-  static obs::Counter& partial_served =
-      ServeCounter("tmn.serve.partial_served");
-  const std::vector<float> sketch =
-      SketchTrajectory(query, config_.sketch_points);
-  // Same pool sizing as tier 2: over-fetch so the exact rerank has
-  // headroom beyond k.
-  const size_t pool = std::min(std::max(config_.rerank_candidates, k),
-                               database_.size());
-  common::StatusOr<index::SegmentedSearchResult> hits =
-      config_.segmented_index->SearchTopK(sketch, pool, deadline);
-  if (!hits.ok()) return hits.status();
-  bool partial = hits.value().partial;
-  std::vector<std::pair<double, size_t>> scored;
-  scored.reserve(hits.value().ids.size());
-  common::DeadlinePoller poller(&deadline, /*stride=*/1);
-  for (uint64_t id : hits.value().ids) {
-    TMN_RETURN_IF_ERROR(poller.Check("segmented-rerank"));
-    if (id >= database_.size()) {
-      // The index references a record this database no longer has (it
-      // outlived a rebuild). Some of the true candidate pool is missing,
-      // which is exactly what `partial` means.
-      partial = true;
-      continue;
-    }
-    scored.emplace_back(metric_->Compute(query, database_[id]),
-                        static_cast<size_t>(id));
-  }
-  if (scored.empty()) {
-    // An empty (or fully stale) segmented index has no opinion; let the
-    // ladder fall through to the brute-force floor.
-    return common::UnavailableError("segmented index yielded no candidates");
-  }
-  SortAndTruncate(scored, k);
-  QueryResult result = ToResult(std::move(scored), ServeTier::kSegmented);
-  result.partial = partial;
-  if (partial) partial_served.Increment();
-  return result;
-}
-
-common::StatusOr<QueryResult> SimilarityServer::TryBruteForceTier(
-    const geo::Trajectory& query, size_t k,
-    const common::Deadline& deadline) const {
-  if (TMN_FAILPOINT("serve.brute_force")) {
-    return common::UnavailableError("injected brute-force scan failure");
-  }
-  // Bounded: the last-resort tier must not turn one slow query into an
-  // unbounded scan of a huge database.
-  const size_t limit = std::min(database_.size(), config_.max_brute_force);
-  std::vector<std::pair<double, size_t>> scored;
-  scored.reserve(limit);
-  common::DeadlinePoller poller(&deadline, /*stride=*/1);
-  for (size_t i = 0; i < limit; ++i) {
-    TMN_RETURN_IF_ERROR(poller.Check("brute-force"));
-    scored.emplace_back(metric_->Compute(query, database_[i]), i);
-  }
-  SortAndTruncate(scored, k);
-  return ToResult(std::move(scored), ServeTier::kExactBruteForce);
-}
-
-common::StatusOr<QueryResult> SimilarityServer::ServeOne(
-    const geo::Trajectory& query, size_t k, const common::Deadline& deadline,
-    bool record_timeout) const {
-  static obs::Counter& timed_out = ServeCounter("tmn.serve.timed_out");
-
-  TMN_RETURN_IF_ERROR(ValidateQuery(query, k));
-  {
-    const common::Status admitted =
-        common::CheckDeadline(deadline, "admission");
-    if (!admitted.ok()) {
-      if (record_timeout) timed_out.Increment();
-      return admitted;
+void SimilarityServer::SearchStage(std::vector<Member>& members) const {
+  for (Member& member : members) {
+    if (member.embedding.empty()) continue;
+    common::StatusOr<std::vector<size_t>> nearest =
+        embedding_index_->NearestChecked(
+            member.embedding, std::min(member.k, database_.size()),
+            /*ef=*/0, member.deadline);
+    if (nearest.ok()) {
+      member.nearest = std::move(nearest.value());
+    } else {
+      member.tier1 = nearest.status();
     }
   }
-
-  std::optional<common::StatusOr<QueryResult>> tier1;
-  if (embedding_tier_ok_) {
-    tier1 = TryEmbeddingTier(query, k, deadline);
-  }
-  return FinishLadder(query, k, deadline, record_timeout, tier1);
 }
 
 common::StatusOr<QueryResult> SimilarityServer::FinishLadder(
-    const geo::Trajectory& query, size_t k, const common::Deadline& deadline,
-    bool record_timeout,
-    const std::optional<common::StatusOr<QueryResult>>& tier1_outcome) const {
+    Member& member) const {
   static obs::Counter& timed_out = ServeCounter("tmn.serve.timed_out");
-  static obs::Counter& tier1 = ServeCounter("tmn.serve.tier1_served");
-  static obs::Counter& tier2 = ServeCounter("tmn.serve.tier2_served");
-  static obs::Counter& segmented =
-      ServeCounter("tmn.serve.segmented_served");
-  static obs::Counter& tier3 = ServeCounter("tmn.serve.tier3_served");
+  // Top to bottom; `stage` names the tier's exact-rank step in deadline
+  // messages.
+  static const struct {
+    ServeTier tier;
+    const char* stage;
+    obs::Counter& served;
+  } kLadder[] = {
+      {ServeTier::kEmbeddingAnn, "tier1-distances",
+       ServeCounter("tmn.serve.tier1_served")},
+      {ServeTier::kExactRerank, "rerank",
+       ServeCounter("tmn.serve.tier2_served")},
+      {ServeTier::kSegmented, "segmented-rerank",
+       ServeCounter("tmn.serve.segmented_served")},
+      {ServeTier::kExactBruteForce, "brute-force",
+       ServeCounter("tmn.serve.tier3_served")},
+  };
 
+  if (!member.status.ok()) return member.status;
   common::Status last_error;
-  if (tier1_outcome.has_value()) {
-    const common::StatusOr<QueryResult>& r = *tier1_outcome;
+  for (const auto& rung : kLadder) {
+    if (!TierAvailable(rung.tier)) continue;
+    common::StatusOr<Candidates> pool = CandidatePool(rung.tier, member);
+    common::StatusOr<QueryResult> r =
+        pool.ok() ? RankExact(member, pool.value(), rung.tier, rung.stage)
+                  : common::StatusOr<QueryResult>(pool.status());
     if (r.ok()) {
-      tier1.Increment();
+      rung.served.Increment();
+      if (r.value().partial) {
+        // Registered on first use, so reports of servers that never
+        // answer partially do not carry it.
+        static obs::Counter& partial_served =
+            ServeCounter("tmn.serve.partial_served");
+        partial_served.Increment();
+      }
       return r;
     }
     // A deadline expiry ends the query — degrading further would only
     // blow the budget by more, not less.
     if (r.status().code() == common::StatusCode::kDeadlineExceeded) {
-      if (record_timeout) timed_out.Increment();
-      return r.status();
-    }
-    last_error = r.status();
-  }
-  if (rerank_tier_ok_) {
-    common::StatusOr<QueryResult> r = TryRerankTier(query, k, deadline);
-    if (r.ok()) {
-      tier2.Increment();
-      return r;
-    }
-    if (r.status().code() == common::StatusCode::kDeadlineExceeded) {
-      if (record_timeout) timed_out.Increment();
-      return r.status();
-    }
-    last_error = r.status();
-  }
-  if (config_.segmented_index != nullptr) {
-    common::StatusOr<QueryResult> r = TrySegmentedTier(query, k, deadline);
-    if (r.ok()) {
-      segmented.Increment();
-      return r;
-    }
-    if (r.status().code() == common::StatusCode::kDeadlineExceeded) {
-      if (record_timeout) timed_out.Increment();
-      return r.status();
-    }
-    last_error = r.status();
-  }
-  {
-    common::StatusOr<QueryResult> r = TryBruteForceTier(query, k, deadline);
-    if (r.ok()) {
-      tier3.Increment();
-      return r;
-    }
-    if (r.status().code() == common::StatusCode::kDeadlineExceeded) {
-      if (record_timeout) timed_out.Increment();
+      timed_out.Increment();
       return r.status();
     }
     last_error = r.status();
@@ -514,6 +431,117 @@ common::StatusOr<QueryResult> SimilarityServer::FinishLadder(
   return common::UnavailableError("no serving tier available (last: " +
                                   last_error.ToString() + ")");
 }
+
+bool SimilarityServer::TierAvailable(ServeTier tier) const {
+  switch (tier) {
+    case ServeTier::kEmbeddingAnn: return embedding_tier_available();
+    case ServeTier::kExactRerank: return rerank_tier_available();
+    case ServeTier::kSegmented: return segmented_tier_available();
+    case ServeTier::kExactBruteForce: return true;
+  }
+  return false;
+}
+
+common::StatusOr<SimilarityServer::Candidates> SimilarityServer::CandidatePool(
+    ServeTier tier, Member& member) const {
+  // The sketch tiers over-fetch so the exact rank has headroom beyond k.
+  const size_t fetch = std::min(std::max(config_.rerank_candidates, member.k),
+                                database_.size());
+  Candidates pool;
+  switch (tier) {
+    case ServeTier::kEmbeddingAnn:
+      if (!member.tier1.ok()) return member.tier1;
+      pool.ids = std::move(member.nearest);
+      break;
+    case ServeTier::kExactRerank: {
+      common::StatusOr<std::vector<size_t>> ids =
+          feature_index_->NearestChecked(
+              SketchTrajectory(*member.query, config_.sketch_points), fetch,
+              /*ef=*/0, member.deadline);
+      if (!ids.ok()) return ids.status();
+      pool.ids = std::move(ids.value());
+      break;
+    }
+    case ServeTier::kSegmented: {
+      common::StatusOr<index::SegmentedSearchResult> hits =
+          config_.segmented_index->SearchTopK(
+              SketchTrajectory(*member.query, config_.sketch_points), fetch,
+              member.deadline);
+      if (!hits.ok()) return hits.status();
+      pool.partial = hits.value().partial;
+      pool.ids.reserve(hits.value().ids.size());
+      for (uint64_t id : hits.value().ids) {
+        if (id < database_.size()) {
+          pool.ids.push_back(static_cast<size_t>(id));
+        } else {
+          // The index references a record this database no longer has (it
+          // outlived a rebuild). Some of the true candidate pool is
+          // missing, which is exactly what `partial` means.
+          pool.partial = true;
+        }
+      }
+      if (pool.ids.empty()) {
+        // An empty (or fully stale) segmented index has no opinion; let
+        // the ladder fall through to the brute-force floor.
+        return common::UnavailableError(
+            "segmented index yielded no candidates");
+      }
+      break;
+    }
+    case ServeTier::kExactBruteForce:
+      if (TMN_FAILPOINT("serve.brute_force")) {
+        return common::UnavailableError("injected brute-force scan failure");
+      }
+      // Bounded: the last-resort tier must not turn one slow query into an
+      // unbounded scan of a huge database.
+      pool.ids.resize(std::min(database_.size(), config_.max_brute_force));
+      std::iota(pool.ids.begin(), pool.ids.end(), size_t{0});
+      break;
+  }
+  return pool;
+}
+
+common::StatusOr<QueryResult> SimilarityServer::RankExact(
+    const Member& member, const Candidates& pool, ServeTier tier,
+    const char* stage) const {
+  std::vector<std::pair<double, size_t>> scored;
+  scored.reserve(pool.ids.size());
+  // Exact metrics are DTW-like (quadratic in trajectory length), so one
+  // candidate is already a chunky unit of work: poll every candidate.
+  common::DeadlinePoller poller(&member.deadline, /*stride=*/1);
+  for (size_t id : pool.ids) {
+    TMN_RETURN_IF_ERROR(poller.Check(stage));
+    scored.emplace_back(metric_->Compute(*member.query, database_[id]), id);
+  }
+  if (tier != ServeTier::kEmbeddingAnn) {
+    // Deterministic ordering: by exact distance, index breaking ties.
+    const size_t take = std::min(member.k, scored.size());
+    std::partial_sort(scored.begin(), scored.begin() + take, scored.end());
+    scored.resize(take);
+  }
+  QueryResult result;
+  result.tier = tier;
+  result.partial = pool.partial;
+  result.indices.reserve(scored.size());
+  result.distances.reserve(scored.size());
+  for (const auto& [d, id] : scored) {
+    result.indices.push_back(id);
+    result.distances.push_back(d);
+  }
+  return result;
+}
+
+common::StatusOr<QueryResult> SimilarityServer::ServeOne(
+    const geo::Trajectory& query, size_t k,
+    const common::Deadline& deadline) const {
+  std::vector<Member> one = {Member(&query, k, deadline)};
+  EncodeStage(one);
+  SearchStage(one);
+  return FinishLadder(one[0]);
+}
+
+// ---------------------------------------------------------------------
+// Entry points.
 
 common::StatusOr<QueryResult> SimilarityServer::TopK(
     const geo::Trajectory& query, size_t k,
@@ -533,7 +561,7 @@ common::StatusOr<QueryResult> SimilarityServer::TopK(
     budget = common::Deadline::AfterSeconds(config_.default_deadline_seconds,
                                             config_.clock);
   }
-  return ServeOne(query, k, budget, /*record_timeout=*/true);
+  return ServeOne(query, k, budget);
 }
 
 std::vector<common::StatusOr<QueryResult>> SimilarityServer::TopKBatch(
@@ -560,39 +588,11 @@ std::vector<common::StatusOr<QueryResult>> SimilarityServer::TopKBatch(
           budget = common::Deadline::AfterSeconds(
               config_.default_deadline_seconds, config_.clock);
         }
-        results[i] = ServeOne(queries[i], k, budget, /*record_timeout=*/true);
+        results[i] = ServeOne(queries[i], k, budget);
       },
       max_parallelism);
   return results;
 }
-
-// ---------------------------------------------------------------------
-// Micro-batched path (SubmitTopK). The pipeline replays the serial
-// ServeOne stage by stage: validation and the 'admission' deadline check,
-// then the tier-1 attempt (breaker gate → fused batch encode → per-member
-// index search → exact tier-1 distances), then the shared FinishLadder.
-// Every breaker rule is the serial one: AllowRequest per member before
-// encode; a deadline expiry records Abandoned (says nothing about model
-// health), any other encode failure records Failure, success records
-// Success; index failures carry no breaker penalty. A member that never
-// passed AllowRequest never records anything.
-
-struct SimilarityServer::BatchState {
-  struct Member {
-    BatchRequest request;
-    // Set once the member's outcome is fully decided before the ladder
-    // (validation failure or admission-stage expiry).
-    std::optional<common::StatusOr<QueryResult>> final;
-    // The tier-1 outcome exactly as TryEmbeddingTier would have returned
-    // it; nullopt while undecided (or when tier 1 is down).
-    std::optional<common::StatusOr<QueryResult>> tier1;
-    // Filled by the encode stage on success, consumed by search.
-    std::optional<std::vector<float>> embedding;
-    // Filled by the search stage on success, consumed by resolve.
-    std::optional<std::vector<size_t>> nearest;
-  };
-  std::vector<Member> members;
-};
 
 common::StatusOr<std::future<common::StatusOr<QueryResult>>>
 SimilarityServer::SubmitTopK(const geo::Trajectory& query, size_t k,
@@ -628,120 +628,26 @@ SimilarityServer::SubmitTopK(const geo::Trajectory& query, size_t k,
 void SimilarityServer::ProcessBatch(std::vector<BatchRequest> batch,
                                     BatchFlushReason /*reason*/) const {
   auto state = std::make_shared<BatchState>();
-  state->members.reserve(batch.size());
-  for (BatchRequest& request : batch) {
-    BatchState::Member member;
-    member.request = std::move(request);
-    state->members.push_back(std::move(member));
+  state->requests = std::move(batch);
+  state->members.reserve(state->requests.size());
+  for (const BatchRequest& request : state->requests) {
+    state->members.emplace_back(&request.query, request.k, request.deadline);
   }
   inflight_batches_.Add();
-  // Stage completion is tracked by inflight_batches_, not the pool future.
-  static_cast<void>(common::ThreadPool::Global().Submit(
-      [this, state] { BatchEncodeStage(state); }));
-}
-
-void SimilarityServer::BatchEncodeStage(
-    const std::shared_ptr<BatchState>& state) const {
-  static obs::Counter& timed_out = ServeCounter("tmn.serve.timed_out");
-  std::vector<eval::BatchEncodeRequest> to_encode;
-  std::vector<size_t> encode_index;
-  for (size_t i = 0; i < state->members.size(); ++i) {
-    BatchState::Member& member = state->members[i];
-    const common::Status valid =
-        ValidateQuery(member.request.query, member.request.k);
-    if (!valid.ok()) {
-      member.final = common::StatusOr<QueryResult>(valid);
-      continue;
-    }
-    const common::Status admitted =
-        common::CheckDeadline(member.request.deadline, "admission");
-    if (!admitted.ok()) {
-      timed_out.Increment();
-      member.final = common::StatusOr<QueryResult>(admitted);
-      continue;
-    }
-    if (!embedding_tier_ok_) continue;  // tier1 stays nullopt, as serial.
-    if (!breaker_.AllowRequest()) {
-      member.tier1 = common::StatusOr<QueryResult>(common::UnavailableError(
-          "circuit breaker open: tier-1 inference short-circuited"));
-      continue;
-    }
-    to_encode.push_back(eval::BatchEncodeRequest{&member.request.query,
-                                                 member.request.deadline});
-    encode_index.push_back(i);
-  }
-  if (!to_encode.empty()) {
-    const std::vector<common::StatusOr<std::vector<float>>> encoded =
-        eval::EncodeTrajectoriesBatched(*model_, to_encode);
-    for (size_t j = 0; j < encoded.size(); ++j) {
-      BatchState::Member& member = state->members[encode_index[j]];
-      if (encoded[j].ok()) {
-        breaker_.RecordSuccess();
-        member.embedding = encoded[j].value();
-      } else {
-        if (encoded[j].status().code() ==
-            common::StatusCode::kDeadlineExceeded) {
-          breaker_.RecordAbandoned();
-        } else {
-          breaker_.RecordFailure();
+  RunOnPool([this, state] {
+    EncodeStage(state->members);
+    RunOnPool([this, state] {
+      SearchStage(state->members);
+      RunOnPool([this, state] {
+        for (size_t i = 0; i < state->members.size(); ++i) {
+          state->requests[i].promise.set_value(
+              FinishLadder(state->members[i]));
+          admission_.Exit();
         }
-        member.tier1 = common::StatusOr<QueryResult>(encoded[j].status());
-      }
-    }
-  }
-  // Stage completion is tracked by inflight_batches_, not the pool future.
-  static_cast<void>(common::ThreadPool::Global().Submit(
-      [this, state] { BatchSearchStage(state); }));
-}
-
-void SimilarityServer::BatchSearchStage(
-    const std::shared_ptr<BatchState>& state) const {
-  for (BatchState::Member& member : state->members) {
-    if (!member.embedding.has_value()) continue;
-    common::StatusOr<std::vector<size_t>> nearest =
-        embedding_index_->NearestChecked(
-            *member.embedding,
-            std::min(member.request.k, database_.size()), /*ef=*/0,
-            member.request.deadline);
-    // Index failures fall through to tier 2 without a breaker penalty,
-    // exactly as in TryEmbeddingTier.
-    if (nearest.ok()) {
-      member.nearest = std::move(nearest.value());
-    } else {
-      member.tier1 = common::StatusOr<QueryResult>(nearest.status());
-    }
-  }
-  // Stage completion is tracked by inflight_batches_, not the pool future.
-  static_cast<void>(common::ThreadPool::Global().Submit(
-      [this, state] { BatchResolveStage(state); }));
-}
-
-void SimilarityServer::BatchResolveStage(
-    const std::shared_ptr<BatchState>& state) const {
-  for (BatchState::Member& member : state->members) {
-    if (!member.final.has_value()) {
-      if (member.nearest.has_value()) {
-        common::StatusOr<std::vector<double>> distances =
-            ExactDistances(member.request.query, *member.nearest,
-                           member.request.deadline, "tier1-distances");
-        if (distances.ok()) {
-          QueryResult result;
-          result.indices = std::move(*member.nearest);
-          result.distances = std::move(distances.value());
-          result.tier = ServeTier::kEmbeddingAnn;
-          member.tier1 = common::StatusOr<QueryResult>(std::move(result));
-        } else {
-          member.tier1 = common::StatusOr<QueryResult>(distances.status());
-        }
-      }
-      member.final = FinishLadder(member.request.query, member.request.k,
-                                  member.request.deadline,
-                                  /*record_timeout=*/true, member.tier1);
-    }
-    member.request.promise.set_value(std::move(*member.final));
-    admission_.Exit();
-  }
-  inflight_batches_.Remove();
+        inflight_batches_.Remove();
+      });
+    });
+  });
 }
 
 }  // namespace tmn::serve

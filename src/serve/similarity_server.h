@@ -3,7 +3,6 @@
 
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,10 +79,11 @@ struct ServerConfig {
 // (docs/SERVING.md): every query is admitted against a bounded queue,
 // carries a deadline that is checked between pipeline stages, and walks
 // down the tier ladder — learned-embedding ANN, exact-metric rerank over
-// a model-free candidate pool, bounded exact scan — until one tier
-// answers. A circuit breaker around model inference turns a failing
-// model into a fast, deterministic skip of tier 1 instead of a per-query
-// failure. Thread-safe: TopK may be called concurrently.
+// a model-free candidate pool, the optional segmented index, bounded
+// exact scan — until one tier answers. A circuit breaker around model
+// inference turns a failing model into a fast, deterministic skip of
+// tier 1 instead of a per-query failure. Thread-safe: TopK may be called
+// concurrently.
 class SimilarityServer {
  public:
   // Builds a server over `database`. `model` may be null (or pairwise):
@@ -104,30 +104,31 @@ class SimilarityServer {
       std::unique_ptr<dist::DistanceMetric> metric,
       const std::string& model_path);
 
+  // Waits for every in-flight micro-batch to resolve, then tears down.
+  ~SimilarityServer();
+
   // Top-k neighbors of `query`, nearest first, at most min(k, size())
   // entries. Non-OK statuses a caller must expect:
   //   kResourceExhausted  — shed at admission (over queue_capacity).
   //   kDeadlineExceeded   — budget ran out; message names the stage.
   //   kInvalidArgument    — malformed query (empty, non-finite, k == 0).
   //   kUnavailable        — every tier is down.
-  // Waits for every in-flight micro-batch to resolve, then tears down.
-  ~SimilarityServer();
-
   common::StatusOr<QueryResult> TopK(
       const geo::Trajectory& query, size_t k,
       const common::Deadline& deadline = common::Deadline()) const;
 
   // Micro-batched TopK: the query is admitted (same shedding and default-
   // deadline rules as TopK), copied into the batcher's bounded queue, and
-  // answered through the asynchronous encode → index-search → resolve
-  // pipeline; the result — including every non-OK status TopK documents —
-  // arrives through the returned future. A non-OK return means the query
-  // was shed before enqueue (admission or batcher queue full) and no work
-  // remains in flight. The result for any query is bitwise identical to
-  // what a serial TopK with the same deadline would produce, at every
-  // batch cutoff and thread count: batching is a throughput detail, never
-  // a semantic one. Do not block on the future from a ThreadPool worker —
-  // the pipeline needs pool workers to make progress.
+  // answered by TopK's own stages, run over the shared pool on a whole
+  // micro-batch; the result — including every non-OK status TopK
+  // documents — arrives through the returned future. A non-OK return
+  // means the query was shed before enqueue (admission or batcher queue
+  // full) and no work remains in flight. The result for any query is
+  // bitwise identical to what a serial TopK with the same deadline would
+  // produce, at every batch cutoff and thread count: batching is a
+  // throughput detail, never a semantic one. Do not block on the future
+  // from a ThreadPool worker — the pipeline needs pool workers to make
+  // progress.
   common::StatusOr<std::future<common::StatusOr<QueryResult>>> SubmitTopK(
       const geo::Trajectory& query, size_t k,
       const common::Deadline& deadline = common::Deadline()) const;
@@ -143,8 +144,8 @@ class SimilarityServer {
   size_t size() const { return database_.size(); }
 
   // Tier health, for operators and tests.
-  bool embedding_tier_available() const { return embedding_tier_ok_; }
-  bool rerank_tier_available() const { return rerank_tier_ok_; }
+  bool embedding_tier_available() const { return model_status_.ok(); }
+  bool rerank_tier_available() const { return feature_status_.ok(); }
   bool segmented_tier_available() const {
     return config_.segmented_index != nullptr;
   }
@@ -168,54 +169,55 @@ class SimilarityServer {
                    std::unique_ptr<dist::DistanceMetric> metric,
                    std::unique_ptr<core::SimilarityModel> model);
 
-  // The post-admission pipeline: validate, then try tiers 1..3.
-  common::StatusOr<QueryResult> ServeOne(const geo::Trajectory& query,
-                                         size_t k,
-                                         const common::Deadline& deadline,
-                                         bool record_timeout) const;
-  // The degradation ladder below tier 1. `tier1` is the tier-1 outcome
-  // when it was attempted (nullopt when the embedding tier is down) —
-  // the serial path and the batched pipeline both funnel through this
-  // one function, which is what makes their results identical by
-  // construction.
-  common::StatusOr<QueryResult> FinishLadder(
-      const geo::Trajectory& query, size_t k,
-      const common::Deadline& deadline, bool record_timeout,
-      const std::optional<common::StatusOr<QueryResult>>& tier1) const;
-  common::StatusOr<QueryResult> TryEmbeddingTier(
-      const geo::Trajectory& query, size_t k,
-      const common::Deadline& deadline) const;
-  common::StatusOr<QueryResult> TryRerankTier(
-      const geo::Trajectory& query, size_t k,
-      const common::Deadline& deadline) const;
-  // Tier 2.5: sketch scatter-gather over the optional segmented index,
-  // then exact-metric rerank. Propagates the index's `partial` flag; out
-  // of range ids (the index outliving a database rebuild) are dropped
-  // and flag the response partial rather than faulting.
-  common::StatusOr<QueryResult> TrySegmentedTier(
-      const geo::Trajectory& query, size_t k,
-      const common::Deadline& deadline) const;
-  common::StatusOr<QueryResult> TryBruteForceTier(
+  // One query on its way through the stages, and one tier's candidate
+  // ids for the exact-rank step.
+  struct Member;
+  struct Candidates;
+
+  // The serving pipeline (docs/SERVING.md): three synchronous stages over
+  // a batch of members. TopK and TopKBatch run them inline on a batch of
+  // one (ServeOne); SubmitTopK chains them over the shared ThreadPool on
+  // each closed micro-batch. Both paths run the same code, which is what
+  // makes their answers bitwise identical.
+  //
+  // Stage 1: validation, the 'admission' deadline check, the breaker gate
+  // and one fused encode of every member headed for tier 1.
+  void EncodeStage(std::vector<Member>& members) const;
+  // Stage 2: the embedding HNSW search that yields tier 1's candidates.
+  void SearchStage(std::vector<Member>& members) const;
+  // Stage 3, the degradation ladder: each available tier in turn yields a
+  // candidate pool for RankExact, until one tier answers or a deadline
+  // expiry ends the query.
+  common::StatusOr<QueryResult> FinishLadder(Member& member) const;
+  common::StatusOr<QueryResult> ServeOne(
       const geo::Trajectory& query, size_t k,
       const common::Deadline& deadline) const;
 
-  // Exact metric distances of `indices` to `query` (tier-1 responses are
-  // tagged with exact distances too, so tiers stay comparable).
-  common::StatusOr<std::vector<double>> ExactDistances(
-      const geo::Trajectory& query, const std::vector<size_t>& indices,
-      const common::Deadline& deadline, const char* stage) const;
+  bool TierAvailable(ServeTier tier) const;
+  // The ids `tier` proposes for `member`: tier 1's from stages 1-2, a
+  // sketch HNSW search for tier 2, a scatter-gather of the segmented index
+  // (ids the database no longer has are dropped and flag the pool
+  // partial), or the first max_brute_force ids for tier 3.
+  common::StatusOr<Candidates> CandidatePool(ServeTier tier,
+                                             Member& member) const;
+  // The one exact-rank step: scores `pool` with the exact metric, polling
+  // the deadline before every candidate (`stage` names an expiry), then
+  // sorts by (distance, id) and truncates to k. Tier 1 keeps its
+  // embedding order (serve_types.h) but is tagged with exact distances
+  // too, so tiers stay comparable.
+  common::StatusOr<QueryResult> RankExact(const Member& member,
+                                          const Candidates& pool,
+                                          ServeTier tier,
+                                          const char* stage) const;
 
-  // The asynchronous batch pipeline (SubmitTopK). ProcessBatch receives a
-  // closed batch from the dispatcher and chains the stages over the
-  // shared ThreadPool; each stage re-submits the next, so stages of
-  // different batches interleave. The resolve stage fulfills every
-  // member's promise and releases its admission slot.
+  // ProcessBatch receives a closed batch from the dispatcher and chains
+  // the three stages over the shared ThreadPool; each stage submits the
+  // next, so stages of different batches interleave. The last stage
+  // fulfills each member's promise and releases its admission slot as
+  // soon as that member's ladder is done.
   struct BatchState;
   void ProcessBatch(std::vector<BatchRequest> batch,
                     BatchFlushReason reason) const;
-  void BatchEncodeStage(const std::shared_ptr<BatchState>& state) const;
-  void BatchSearchStage(const std::shared_ptr<BatchState>& state) const;
-  void BatchResolveStage(const std::shared_ptr<BatchState>& state) const;
 
   const ServerConfig config_;
   const std::vector<geo::Trajectory> database_;
@@ -227,12 +229,10 @@ class SimilarityServer {
 
   // Tier 1 state: embeddings of the database under the model.
   std::unique_ptr<index::HnswIndex> embedding_index_;
-  bool embedding_tier_ok_ = false;
   common::Status model_status_ = common::Status::Ok();
 
   // Tier 2 state: model-free sketch index.
   std::unique_ptr<index::HnswIndex> feature_index_;
-  bool rerank_tier_ok_ = false;
   common::Status feature_status_ = common::Status::Ok();
 
   // The optional compaction daemon over config_.compaction_index. The

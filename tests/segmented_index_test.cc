@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -1495,6 +1496,23 @@ TEST(SegmentedServeTest, QuarantinedSegmentYieldsPartialResponseNotError) {
   EXPECT_EQ(result.value().tier, serve::ServeTier::kSegmented);
   EXPECT_TRUE(result.value().partial);
   EXPECT_FALSE(result.value().indices.empty());
+
+  // The micro-batched path returns the serial answer bit for bit,
+  // `partial` included.
+  auto submitted = server.value()->SubmitTopK(database[9], 3);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  const auto batched = submitted.value().get();
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  EXPECT_EQ(batched.value().tier, serve::ServeTier::kSegmented);
+  EXPECT_TRUE(batched.value().partial);
+  EXPECT_EQ(batched.value().indices, result.value().indices);
+  ASSERT_EQ(batched.value().distances.size(),
+            result.value().distances.size());
+  for (size_t i = 0; i < result.value().distances.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(batched.value().distances[i]),
+              std::bit_cast<uint64_t>(result.value().distances[i]))
+        << "rank " << i;
+  }
 }
 
 TEST(SegmentedServeTest, DimensionMismatchIsRejectedAtCreate) {

@@ -265,6 +265,16 @@ TEST(SimilarityServerTest, CreateRejectsMalformedDatabases) {
   s = SimilarityServer::Create(zero, TestDatabase(4, 1), hausdorff(),
                                nullptr);
   EXPECT_EQ(s.status().code(), common::StatusCode::kInvalidArgument);
+  // So is a zero micro-batch size: the dispatcher would close an empty
+  // batch on the first SubmitTopK, which the submit below would reach.
+  zero = FastConfig();
+  zero.batching.max_batch_size = 0;
+  s = SimilarityServer::Create(zero, TestDatabase(4, 1), hausdorff(),
+                               nullptr);
+  EXPECT_EQ(s.status().code(), common::StatusCode::kInvalidArgument);
+  if (s.ok()) {
+    EXPECT_TRUE(s.value()->SubmitTopK(TestDatabase(4, 1)[0], 1).ok());
+  }
 }
 
 TEST(SimilarityServerTest, ComesUpDegradedWithoutAModel) {
@@ -360,7 +370,10 @@ TEST(SimilarityServerTest, RerankTierIsExactWhenThePoolCoversTheDatabase) {
   // so tier 2 must reproduce the exact reference ranking bit for bit.
   ServerConfig config;
   config.rerank_candidates = 64;
-  const auto db = TestDatabase(16, 6);
+  auto db = TestDatabase(16, 6);
+  // Copies of the queries: each query then has two zero-distance hits,
+  // which must rank by ascending id.
+  for (size_t q = 0; q < 3; ++q) db.push_back(db[q]);
   auto server = SimilarityServer::Create(
       config, db, dist::CreateMetric(dist::MetricType::kDtw), nullptr);
   ASSERT_TRUE(server.ok());
@@ -375,6 +388,10 @@ TEST(SimilarityServerTest, RerankTierIsExactWhenThePoolCoversTheDatabase) {
       EXPECT_EQ(r.value().indices[i], reference[i].second);
       EXPECT_EQ(r.value().distances[i], reference[i].first);
     }
+    EXPECT_EQ(r.value().indices[0], q);
+    EXPECT_EQ(r.value().indices[1], 16 + q);
+    EXPECT_EQ(r.value().distances[0], 0.0);
+    EXPECT_EQ(r.value().distances[1], 0.0);
   }
 }
 
@@ -382,7 +399,8 @@ TEST(SimilarityServerTest, BruteForceTierMatchesTheExactReference) {
   ServerConfig config;
   config.enable_embedding_tier = false;
   config.enable_rerank_tier = false;
-  const auto db = TestDatabase(16, 7);
+  auto db = TestDatabase(16, 7);
+  db.push_back(db[3]);  // A second zero-distance hit, at id 16.
   auto server = SimilarityServer::Create(
       config, db, dist::CreateMetric(dist::MetricType::kDtw), nullptr);
   ASSERT_TRUE(server.ok());
@@ -398,6 +416,11 @@ TEST(SimilarityServerTest, BruteForceTierMatchesTheExactReference) {
     EXPECT_EQ(r.value().indices[i], reference[i].second);
     EXPECT_EQ(r.value().distances[i], reference[i].first);
   }
+  // Equal distances rank by ascending id.
+  EXPECT_EQ(r.value().indices[0], 3u);
+  EXPECT_EQ(r.value().indices[1], 16u);
+  EXPECT_EQ(r.value().distances[0], 0.0);
+  EXPECT_EQ(r.value().distances[1], 0.0);
 }
 
 TEST(SimilarityServerTest, BruteForceScanIsBounded) {
