@@ -15,13 +15,18 @@ double EdrMetric::Compute(const geo::Trajectory& a,
   std::vector<double> prev(n + 1, 0.0);
   std::vector<double> curr(n + 1, 0.0);
   for (size_t j = 0; j <= n; ++j) prev[j] = static_cast<double>(j);
+  // As in DTW, the cell to the left stays in `left` and only the insertion
+  // waits on it.
   for (size_t i = 1; i <= m; ++i) {
-    curr[0] = static_cast<double>(i);
+    const geo::Point& p = a[i - 1];
+    double left = static_cast<double>(i);
+    curr[0] = left;
     for (size_t j = 1; j <= n; ++j) {
       const double subcost =
-          geo::EuclideanDistance(a[i - 1], b[j - 1]) <= epsilon_ ? 0.0 : 1.0;
-      curr[j] = std::min({prev[j - 1] + subcost, prev[j] + 1.0,
-                          curr[j - 1] + 1.0});
+          geo::EuclideanDistance(p, b[j - 1]) <= epsilon_ ? 0.0 : 1.0;
+      left = std::min(std::min(prev[j - 1] + subcost, prev[j] + 1.0),
+                      left + 1.0);
+      curr[j] = left;
     }
     std::swap(prev, curr);
   }

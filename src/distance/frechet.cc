@@ -1,7 +1,6 @@
 #include "distance/frechet.h"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -13,21 +12,25 @@ double FrechetMetric::Compute(const geo::Trajectory& a,
   TMN_CHECK(!a.empty() && !b.empty());
   const size_t m = a.size();
   const size_t n = b.size();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // dp[j] = discrete Fréchet of a[..i] vs b[..j]; rolling rows.
+  // dp[j] = discrete Fréchet of a[..i] vs b[..j]; rolling rows. As in DTW,
+  // the cell to the left stays in `left` and min(prev[j], prev[j-1]) is
+  // formed off the loop-carried chain.
   std::vector<double> prev(n, 0.0);
   std::vector<double> curr(n, 0.0);
-  for (size_t j = 0; j < n; ++j) {
-    const double d = geo::EuclideanDistance(a[0], b[j]);
-    prev[j] = j == 0 ? d : std::max(prev[j - 1], d);
+  double left = geo::EuclideanDistance(a[0], b[0]);
+  prev[0] = left;
+  for (size_t j = 1; j < n; ++j) {
+    left = std::max(left, geo::EuclideanDistance(a[0], b[j]));
+    prev[j] = left;
   }
   for (size_t i = 1; i < m; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      const double d = geo::EuclideanDistance(a[i], b[j]);
-      const double reach =
-          j == 0 ? prev[0]
-                 : std::min({prev[j], curr[j - 1], prev[j - 1]});
-      curr[j] = std::max(reach == kInf ? d : reach, d);
+    const geo::Point& p = a[i];
+    left = std::max(prev[0], geo::EuclideanDistance(p, b[0]));
+    curr[0] = left;
+    for (size_t j = 1; j < n; ++j) {
+      const double d = geo::EuclideanDistance(p, b[j]);
+      left = std::max(std::min(left, std::min(prev[j], prev[j - 1])), d);
+      curr[j] = left;
     }
     std::swap(prev, curr);
   }

@@ -14,14 +14,16 @@ size_t LcssMetric::LcssLength(const geo::Trajectory& a,
   const size_t n = b.size();
   std::vector<size_t> prev(n + 1, 0);
   std::vector<size_t> curr(n + 1, 0);
+  // As in DTW, the cell to the left stays in `left`. Column 0 is 0 in both
+  // rows and never written.
   for (size_t i = 1; i <= m; ++i) {
-    curr[0] = 0;
+    const geo::Point& p = a[i - 1];
+    size_t left = 0;
     for (size_t j = 1; j <= n; ++j) {
-      if (geo::EuclideanDistance(a[i - 1], b[j - 1]) <= epsilon_) {
-        curr[j] = prev[j - 1] + 1;
-      } else {
-        curr[j] = std::max(prev[j], curr[j - 1]);
-      }
+      left = geo::EuclideanDistance(p, b[j - 1]) <= epsilon_
+                 ? prev[j - 1] + 1
+                 : std::max(prev[j], left);
+      curr[j] = left;
     }
     std::swap(prev, curr);
   }

@@ -51,7 +51,11 @@ class DistanceMetric {
   virtual MetricType type() const = 0;
   std::string name() const { return MetricName(type()); }
 
-  // Exact distance between two trajectories. Both must be non-empty.
+  // Exact distance between two trajectories. Both must be non-empty. For
+  // finite coordinates each DP cell does the textbook recurrence's
+  // arithmetic (the same sums, and min/max, which are exact), so the result
+  // equals a naive evaluation of that recurrence bit for bit;
+  // tests/distance_reference_test.cc pins this for every DP metric.
   virtual double Compute(const geo::Trajectory& a,
                          const geo::Trajectory& b) const = 0;
 };

@@ -29,10 +29,11 @@ struct QueryResult {
   std::vector<size_t> indices;
   std::vector<double> distances;
   ServeTier tier = ServeTier::kEmbeddingAnn;
-  // True when the answering tier could not consult all of its live data
-  // (today: a kSegmented response over an index with a quarantined or
-  // over-budget segment; docs/INDEXING.md). The result is then a correct
-  // top-k of what was searched — a lower bound, not an error.
+  // True when the answering tier could not consult all of its live data:
+  // a kSegmented response over an index with a quarantined or over-budget
+  // segment or a stale id (docs/INDEXING.md), or a kExactBruteForce scan
+  // truncated at ServerConfig::max_brute_force. The result is then a
+  // correct top-k of what was searched — a lower bound, not an error.
   bool partial = false;
 };
 

@@ -493,9 +493,11 @@ common::StatusOr<SimilarityServer::Candidates> SimilarityServer::CandidatePool(
         return common::UnavailableError("injected brute-force scan failure");
       }
       // Bounded: the last-resort tier must not turn one slow query into an
-      // unbounded scan of a huge database.
+      // unbounded scan of a huge database. A truncated scan did not consult
+      // the rest of the database, which is what `partial` means.
       pool.ids.resize(std::min(database_.size(), config_.max_brute_force));
       std::iota(pool.ids.begin(), pool.ids.end(), size_t{0});
+      pool.partial = database_.size() > config_.max_brute_force;
       break;
   }
   return pool;

@@ -43,7 +43,8 @@ struct ServerConfig {
   // (sketch vectors are 2 * sketch_points floats wide).
   size_t sketch_points = 8;
   // Tier 3 scans at most this many database entries, so the worst-case
-  // fallback cost is bounded even for huge databases.
+  // fallback cost is bounded even for huge databases. A scan cut short by
+  // this cap returns a `partial` response.
   size_t max_brute_force = 4096;
   // Tier toggles, mainly for benches that want to time one tier.
   bool enable_embedding_tier = true;

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -90,6 +91,14 @@ TEST(FrechetTest, DominatedByWorstPoint) {
   const Trajectory a = Line({{0, 0}, {1, 0}, {2, 0}});
   const Trajectory b = Line({{0, 0}, {1, 5}, {2, 0}});
   EXPECT_DOUBLE_EQ(frechet.Compute(a, b), 5.0);
+}
+
+TEST(FrechetTest, OverflowingPointDistanceIsNotForgotten) {
+  // d(a[0], b[0]) overflows to inf, and every coupling matches a[0] with
+  // b[0], so the recurrence max(min(neighbours), d) carries inf to the end.
+  FrechetMetric frechet;
+  EXPECT_EQ(frechet.Compute(Line({{1e200, 0}, {0, 0}}), Line({{0, 0}})),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(HausdorffTest, KnownSmallCase) {

@@ -20,6 +20,7 @@
 #include "data/synthetic.h"
 #include "distance/metric.h"
 #include "geo/preprocess.h"
+#include "obs/metrics.h"
 #include "serve/admission.h"
 #include "serve/circuit_breaker.h"
 #include "serve/similarity_server.h"
@@ -410,6 +411,8 @@ TEST(SimilarityServerTest, BruteForceTierMatchesTheExactReference) {
   auto r = server.value()->TopK(db[3], 6);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().tier, ServeTier::kExactBruteForce);
+  // The database is within max_brute_force, so the scan saw all of it.
+  EXPECT_FALSE(r.value().partial);
   const auto reference = ExactReference(*metric, db, db[3], 6);
   ASSERT_EQ(r.value().indices.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
@@ -432,10 +435,16 @@ TEST(SimilarityServerTest, BruteForceScanIsBounded) {
   auto server = SimilarityServer::Create(
       config, db, dist::CreateMetric(dist::MetricType::kHausdorff), nullptr);
   ASSERT_TRUE(server.ok());
+  const obs::Counter& partial_served = obs::Registry::Global().GetCounter(
+      "tmn.serve.partial_served", obs::Stability::kUnstable);
+  const uint64_t partial_before = partial_served.value();
   auto r = server.value()->TopK(db[0], 12);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().indices.size(), 4u);
   for (size_t i : r.value().indices) EXPECT_LT(i, 4u);
+  // The other 8 entries were never scored, so the response says so.
+  EXPECT_TRUE(r.value().partial);
+  EXPECT_EQ(partial_served.value(), partial_before + 1);
 }
 
 // ---------------------------------------------------------------------

@@ -25,7 +25,7 @@ mkdir -p "$LOG_DIR"
 # itself.
 STAGE_TITLES=(
   "Standard build (-Werror) + full ctest"
-  "Bench gate: bench_micro_nn vs committed baseline"
+  "Bench gate: bench_micro_nn + bench_micro_distance vs committed baselines"
   "tmn_lint gate"
   "clang thread-safety analysis (-Wthread-safety)"
   "Debug build: TMN_DCHECK invariant layer"
@@ -53,13 +53,18 @@ stage
 
 stage
 {
-  cmake --build build -j "$JOBS" --target bench_micro_nn bench_compare
+  cmake --build build -j "$JOBS" \
+      --target bench_micro_nn bench_micro_distance bench_compare
   # Stable checksum gauges hard-fail on drift; the timer gauges only warn.
   ./build/bench/bench_micro_nn "$LOG_DIR/BENCH_nn.json" \
       --benchmark_filter=NONE
   ./build/tools/bench_compare bench/baselines/BENCH_nn.json \
       "$LOG_DIR/BENCH_nn.json"
-} 2>&1 | tee "$LOG_DIR/2-bench-nn.log"
+  ./build/bench/bench_micro_distance "$LOG_DIR/BENCH_distance.json" \
+      --benchmark_filter=NONE
+  ./build/tools/bench_compare bench/baselines/BENCH_distance.json \
+      "$LOG_DIR/BENCH_distance.json"
+} 2>&1 | tee "$LOG_DIR/2-bench.log"
 
 stage
 {
