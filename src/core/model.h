@@ -46,8 +46,8 @@ class SimilarityModel {
   // with per-item ForwardSingle at every batch size — callers (the
   // serving micro-batcher) rely on batching being an invisible
   // performance detail. The default runs ForwardSingle per item; models
-  // with a fused batch path (TmnModel's padded+masked batched LSTM)
-  // override it to amortize the per-step matmuls across the batch.
+  // with a fused batch path (TmnModel's batched LSTM) override it to
+  // amortize the per-step matmuls across the batch.
   virtual std::vector<nn::Tensor> ForwardSingleBatch(
       const std::vector<const geo::Trajectory*>& batch) const;
 

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "core/features.h"
-#include "nn/batched_lstm.h"
 #include "nn/kernels/arena.h"
 #include "nn/kernels/kernels.h"
 #include "nn/ops.h"
@@ -179,12 +178,6 @@ std::vector<nn::Tensor> TmnModel::ForwardSingleBatch(
     const std::vector<const geo::Trajectory*>& batch) const {
   TMN_CHECK_MSG(!config_.use_matching,
                 "TMN is pairwise; ForwardSingleBatch is only valid for TMN-NM");
-  const nn::Lstm* lstm = rnn_.lstm();
-  if (batch.size() < 2 || lstm == nullptr || nn::GradModeEnabled()) {
-    // One item amortizes nothing; GRU has no batched cell; the tape path
-    // is per-sequence. All of these are the per-item computation anyway.
-    return SimilarityModel::ForwardSingleBatch(batch);
-  }
   nn::kernels::ArenaScope arena;
   std::vector<nn::Tensor> xs;
   xs.reserve(batch.size());
@@ -192,9 +185,8 @@ std::vector<nn::Tensor> TmnModel::ForwardSingleBatch(
     TMN_CHECK_MSG(t != nullptr, "ForwardSingleBatch: null trajectory");
     xs.push_back(EmbedPoints(*t));
   }
-  // Eq. 12 across the batch: one padded+masked LSTM pass whose per-item
-  // rows are bitwise identical to rnn_.Forward(xs[i]).
-  std::vector<nn::Tensor> zs = nn::BatchedLstmForward(lstm->cell(), xs);
+  // Eq. 12 across the batch; item i is bitwise rnn_.Forward(xs[i]).
+  const std::vector<nn::Tensor> zs = rnn_.ForwardBatch(xs);
   std::vector<nn::Tensor> outputs;
   outputs.reserve(zs.size());
   for (const nn::Tensor& z : zs) outputs.push_back(mlp_.Forward(z));  // Eq. 13.

@@ -49,11 +49,10 @@ class TmnModel : public nn::Module, public SimilarityModel {
                          const geo::Trajectory& b) const override;
   nn::Tensor ForwardSingle(const geo::Trajectory& t) const override;
 
-  // TMN-NM batched encode: embeds each trajectory, runs one padded+masked
-  // nn::BatchedLstmForward over the whole batch, then the MLP per item.
-  // Bitwise identical to per-item ForwardSingle (the batched LSTM's
-  // contract); falls back to the per-item default under grad mode or a
-  // GRU backbone.
+  // TMN-NM batched encode: embeds each trajectory, runs the RNN once
+  // over the whole batch (nn::Rnn::ForwardBatch), then the MLP per item.
+  // Bitwise identical to per-item ForwardSingle at every batch size, in
+  // and out of grad mode, for either backbone.
   std::vector<nn::Tensor> ForwardSingleBatch(
       const std::vector<const geo::Trajectory*>& batch) const override;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/failpoint.h"
@@ -153,9 +154,9 @@ std::vector<size_t> EmbeddingSearch::NearestToStored(size_t i,
 
 namespace {
 
-// The scalar and batched encode paths share one validation sequence (and
-// one failpoint), so a batch member fails with exactly the status the
-// scalar call would have returned.
+// One encode request's validation, in the order embedding_search.h
+// documents. Each batch member runs it on its own (failpoint included),
+// so a member fails with exactly the status a batch of one returns.
 common::Status ValidateEncodeRequest(const core::SimilarityModel& model,
                                      const geo::Trajectory& trajectory,
                                      const common::Deadline& deadline) {
@@ -194,23 +195,6 @@ common::StatusOr<std::vector<float>> FinalEmbedding(const nn::Tensor& o) {
 
 }  // namespace
 
-common::StatusOr<std::vector<float>> EncodeTrajectory(
-    const core::SimilarityModel& model, const geo::Trajectory& trajectory,
-    const common::Deadline& deadline) {
-  TMN_RETURN_IF_ERROR(ValidateEncodeRequest(model, trajectory, deadline));
-  static obs::Counter& encoded =
-      obs::Registry::Global().GetCounter("tmn.eval.encoded_trajectories");
-  static obs::Histogram& seconds =
-      obs::Registry::Global().GetTimer("tmn.eval.encode_seconds");
-  obs::ScopedTimer timer(seconds);
-  encoded.Increment();
-  nn::NoGradGuard no_grad;
-  // Inference arena: the forward's tensor buffers recycle through a
-  // thread-local pool instead of the heap (src/nn/kernels/arena.h).
-  nn::kernels::ArenaScope arena;
-  return FinalEmbedding(model.ForwardSingle(trajectory));
-}
-
 std::vector<common::StatusOr<std::vector<float>>> EncodeTrajectoriesBatched(
     const core::SimilarityModel& model,
     const std::vector<BatchEncodeRequest>& batch) {
@@ -244,12 +228,21 @@ std::vector<common::StatusOr<std::vector<float>>> EncodeTrajectoriesBatched(
   obs::ScopedTimer timer(seconds);
   encoded.Increment(live.size());
   nn::NoGradGuard no_grad;
+  // Inference arena: the forward's tensor buffers recycle through a
+  // thread-local pool instead of the heap (src/nn/kernels/arena.h).
   nn::kernels::ArenaScope arena;
   const std::vector<nn::Tensor> outputs = model.ForwardSingleBatch(live);
   for (size_t j = 0; j < live.size(); ++j) {
     results[live_index[j]] = FinalEmbedding(outputs[j]);
   }
   return results;
+}
+
+common::StatusOr<std::vector<float>> EncodeTrajectory(
+    const core::SimilarityModel& model, const geo::Trajectory& trajectory,
+    const common::Deadline& deadline) {
+  return std::move(
+      EncodeTrajectoriesBatched(model, {{&trajectory, deadline}})[0]);
 }
 
 }  // namespace tmn::eval

@@ -68,8 +68,9 @@ class EmbeddingSearch {
 // kInvalidArgument, an expired budget kDeadlineExceeded, a non-finite
 // model output kCorruption (a healthy model never produces one — it
 // signals bit rot or a broken load), and the `eval.encode` failpoint
-// injects kUnavailable. The batch path (EncodeAll) keeps its unchecked
-// abort-on-misuse contract.
+// injects kUnavailable. It is EncodeTrajectoriesBatched on a batch of
+// one. The batch path (EncodeAll) keeps its unchecked abort-on-misuse
+// contract.
 common::StatusOr<std::vector<float>> EncodeTrajectory(
     const core::SimilarityModel& model, const geo::Trajectory& trajectory,
     const common::Deadline& deadline = common::Deadline());
@@ -82,12 +83,13 @@ struct BatchEncodeRequest {
 };
 
 // EncodeTrajectory over a whole batch in one fused forward pass.
-// result[i] is exactly what the scalar call would return for member i —
-// same validation order, same per-member deadline stages, same failpoint,
-// and bitwise-identical embeddings (the model's ForwardSingleBatch
-// contract) — so serving batch size is invisible to callers. Members that
-// fail validation or expire are excluded from the forward pass; the
-// survivors share one ForwardSingleBatch.
+// result[i] is exactly what EncodeTrajectory returns for member i alone:
+// each member is validated on its own (deadline stages and failpoint
+// included), and the embeddings are bitwise those of a batch of one (the
+// model's ForwardSingleBatch contract), so serving batch size is
+// invisible to callers. Members that fail validation or expire are
+// excluded from the forward pass; the survivors share one
+// ForwardSingleBatch.
 std::vector<common::StatusOr<std::vector<float>>> EncodeTrajectoriesBatched(
     const core::SimilarityModel& model,
     const std::vector<BatchEncodeRequest>& batch);

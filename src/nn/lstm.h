@@ -31,9 +31,9 @@ class LstmCell : public Module {
   int input_size() const { return input_size_; }
   int hidden_size() const { return hidden_size_; }
 
-  // Raw parameter access for the kernel-backed no-tape inference paths
-  // (lstm.cc, batched_lstm.cc). Layout: wx (in x 4h), wh (h x 4h),
-  // bias (1 x 4h), gate order [i, f, g, o].
+  // Raw parameter access for the no-tape inference kernel (lstm.cc).
+  // Layout: wx (in x 4h), wh (h x 4h), bias (1 x 4h), gate order
+  // [i, f, g, o].
   const Tensor& wx() const { return wx_; }
   const Tensor& wh() const { return wh_; }
   const Tensor& bias() const { return bias_; }
@@ -51,12 +51,27 @@ class LstmCell : public Module {
 // (steps x hidden) matrix Z of per-time-step outputs (Eq. 12): row t is
 // the representation of the length-(t+1) prefix, and the last row is the
 // representation of the whole sequence.
+//
+// Under grad mode Forward records the cell's ops on the tape, step by
+// step; that loop is the training path and the reference. Without grad
+// both Forward and ForwardBatch run one fused no-tape kernel whose output
+// is bitwise that of the tape loop, a single sequence being a batch of
+// one (verified by tests/batched_lstm_test.cc).
 class Lstm : public Module {
  public:
   Lstm(int input_size, int hidden_size, Rng& rng);
 
   Tensor Forward(const Tensor& x, int steps) const;
   Tensor Forward(const Tensor& x) const { return Forward(x, x.rows()); }
+
+  // Forward(inputs[i]) for every i, as one (len_i x hidden) matrix each;
+  // an empty batch returns empty. The paper batches sequences on a GPU
+  // by padding them to a common length and masking finished rows
+  // (Section IV.B). Without grad the kernel instead packs the batch
+  // longest first and, at each step, runs only the sequences still going,
+  // so the per-step matmuls amortize across the batch with no padded
+  // compute. Under grad each sequence runs the tape loop on its own.
+  std::vector<Tensor> ForwardBatch(const std::vector<Tensor>& inputs) const;
 
   const LstmCell& cell() const { return cell_; }
 

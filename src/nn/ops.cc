@@ -588,45 +588,6 @@ Tensor ScaleByScalar(const Tensor& a, const Tensor& s) {
                 });
 }
 
-Tensor MulColVector(const Tensor& a, const Tensor& col) {
-  TMN_CHECK(col.rows() == a.rows() && col.cols() == 1);
-  const int m = a.rows();
-  const int d = a.cols();
-  const auto& av = a.data();
-  const auto& cv = col.data();
-  std::vector<float> out = kernels::AcquireBuffer(av.size());
-  for (int r = 0; r < m; ++r) {
-    K().scale(&av[static_cast<size_t>(r) * d], cv[r],
-              &out[static_cast<size_t>(r) * d], static_cast<size_t>(d));
-  }
-  ImplPtr pa = a.impl(), pc = col.impl();
-  return MakeOp(m, d, std::move(out), {pa, pc},
-                [pa, pc, m, d](TensorImpl* o) {
-                  return [pa, pc, o, m, d]() {
-                    if (InGraph(pa)) {
-                      std::vector<float>& ga = GradBufferFor(pa.get());
-                      for (int r = 0; r < m; ++r) {
-                        K().axpy(pc->data[r],
-                                 &o->grad[static_cast<size_t>(r) * d],
-                                 &ga[static_cast<size_t>(r) * d],
-                                 static_cast<size_t>(d));
-                      }
-                    }
-                    if (InGraph(pc)) {
-                      std::vector<float>& gc = GradBufferFor(pc.get());
-                      for (int r = 0; r < m; ++r) {
-                        float acc = 0.0f;
-                        for (int c = 0; c < d; ++c) {
-                          acc += o->grad[static_cast<size_t>(r) * d + c] *
-                                 pa->data[static_cast<size_t>(r) * d + c];
-                        }
-                        gc[r] += acc;
-                      }
-                    }
-                  };
-                });
-}
-
 Tensor TileRows(const Tensor& row, int m) {
   TMN_CHECK(row.rows() == 1 && m >= 1);
   const int d = row.cols();

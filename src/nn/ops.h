@@ -65,9 +65,6 @@ Tensor SliceCols(const Tensor& a, int start, int len);
 
 // Multiplies every element of `a` by the (learnable) 1x1 tensor `s`.
 Tensor ScaleByScalar(const Tensor& a, const Tensor& s);
-// Row-wise scaling: multiplies row r of `a` (m x d) by col[r] of the
-// (m x 1) column vector. Used for per-sequence masking in batched RNNs.
-Tensor MulColVector(const Tensor& a, const Tensor& col);
 // Repeats a 1 x d row vector m times into an m x d matrix.
 Tensor TileRows(const Tensor& row, int m);
 

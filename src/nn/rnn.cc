@@ -34,4 +34,14 @@ Tensor Rnn::Forward(const Tensor& x, int steps) const {
   return gru_->Forward(x, steps);
 }
 
+std::vector<Tensor> Rnn::ForwardBatch(
+    const std::vector<Tensor>& inputs) const {
+  if (lstm_ != nullptr) return lstm_->ForwardBatch(inputs);
+  TMN_CHECK(gru_ != nullptr);
+  std::vector<Tensor> outputs;
+  outputs.reserve(inputs.size());
+  for (const Tensor& x : inputs) outputs.push_back(gru_->Forward(x));
+  return outputs;
+}
+
 }  // namespace tmn::nn

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "nn/gru.h"
 #include "nn/lstm.h"
@@ -28,12 +29,11 @@ class Rnn : public Module {
   Tensor Forward(const Tensor& x, int steps) const;
   Tensor Forward(const Tensor& x) const { return Forward(x, x.rows()); }
 
-  RnnKind kind() const { return kind_; }
+  // Forward(inputs[i]) for every i. An LSTM runs the batch through
+  // Lstm::ForwardBatch; a GRU runs each sequence on its own.
+  std::vector<Tensor> ForwardBatch(const std::vector<Tensor>& inputs) const;
 
-  // The underlying LSTM when kind() == kLstm, else nullptr. Batched
-  // inference (nn::BatchedLstmForward) needs the raw cell; GRU has no
-  // batched path yet, so callers fall back to per-sequence Forward.
-  const Lstm* lstm() const { return lstm_.get(); }
+  RnnKind kind() const { return kind_; }
 
  private:
   RnnKind kind_;

@@ -1,122 +1,103 @@
 #include <gtest/gtest.h>
 
-#include "nn/batched_lstm.h"
-#include "nn/grad_check.h"
+#include <cstdint>
+#include <cstring>
+
 #include "nn/lstm.h"
-#include "nn/ops.h"
 
 namespace tmn::nn {
 namespace {
 
-Tensor RandomSequence(int len, int dim, uint64_t seed,
-                      bool requires_grad = false) {
+// Hidden sizes around the 8-lane AVX2 width: 1, 5 and 9 leave a partial
+// tail in every gate slice, 8 fills whole lanes, 33 adds one element to
+// four full vectors.
+constexpr int kHiddenSizes[] = {1, 5, 8, 9, 33};
+
+Tensor RandomSequence(int len, int dim, uint64_t seed) {
   Rng rng(seed);
   std::vector<float> data(static_cast<size_t>(len) * dim);
   for (float& v : data) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  return Tensor::FromData(len, dim, std::move(data), requires_grad);
+  return Tensor::FromData(len, dim, std::move(data));
+}
+
+// The bit patterns of a tensor's data: exact equality that also tells
+// -0.0f from 0.0f.
+std::vector<uint32_t> Bits(const Tensor& t) {
+  std::vector<uint32_t> bits(t.data().size());
+  std::memcpy(bits.data(), t.data().data(), bits.size() * sizeof(float));
+  return bits;
+}
+
+// The no-tape batch kernel against the reference it must reproduce bit
+// for bit: grad-mode Lstm::Forward on each sequence alone.
+void ExpectBatchMatchesTape(const Lstm& lstm,
+                            const std::vector<Tensor>& inputs) {
+  std::vector<Tensor> batched;
+  {
+    NoGradGuard no_grad;
+    batched = lstm.ForwardBatch(inputs);
+  }
+  ASSERT_EQ(batched.size(), inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const Tensor expected = lstm.Forward(inputs[i]);
+    ASSERT_EQ(batched[i].rows(), inputs[i].rows()) << "sequence " << i;
+    ASSERT_EQ(batched[i].cols(), expected.cols()) << "sequence " << i;
+    EXPECT_EQ(Bits(batched[i]), Bits(expected)) << "sequence " << i;
+  }
 }
 
 TEST(BatchedLstmTest, EqualLengthBatchMatchesSequential) {
-  Rng rng(1);
-  Lstm lstm(3, 4, rng);
-  const std::vector<Tensor> inputs{RandomSequence(5, 3, 10),
-                                   RandomSequence(5, 3, 11),
-                                   RandomSequence(5, 3, 12)};
-  const std::vector<Tensor> batched =
-      BatchedLstmForward(lstm.cell(), inputs);
-  ASSERT_EQ(batched.size(), 3u);
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const Tensor expected = lstm.Forward(inputs[i]);
-    ASSERT_EQ(batched[i].rows(), expected.rows());
-    for (size_t k = 0; k < expected.data().size(); ++k) {
-      EXPECT_NEAR(batched[i].data()[k], expected.data()[k], 1e-6f)
-          << "sequence " << i << " element " << k;
-    }
+  for (int hidden : kHiddenSizes) {
+    SCOPED_TRACE(hidden);
+    Rng rng(1);
+    Lstm lstm(3, hidden, rng);
+    ExpectBatchMatchesTape(lstm, {RandomSequence(5, 3, 10),
+                                  RandomSequence(5, 3, 11),
+                                  RandomSequence(5, 3, 12)});
   }
 }
 
 TEST(BatchedLstmTest, VariableLengthBatchMatchesSequential) {
-  Rng rng(2);
-  Lstm lstm(2, 5, rng);
-  const std::vector<Tensor> inputs{RandomSequence(7, 2, 20),
-                                   RandomSequence(3, 2, 21),
-                                   RandomSequence(1, 2, 22),
-                                   RandomSequence(5, 2, 23)};
-  const std::vector<Tensor> batched =
-      BatchedLstmForward(lstm.cell(), inputs);
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const Tensor expected = lstm.Forward(inputs[i]);
-    ASSERT_EQ(batched[i].rows(), inputs[i].rows());
-    for (size_t k = 0; k < expected.data().size(); ++k) {
-      EXPECT_NEAR(batched[i].data()[k], expected.data()[k], 1e-6f)
-          << "sequence " << i << " element " << k;
-    }
+  // Ragged, unsorted, with a 1-step sequence: the packed kernel drops
+  // rows from its live prefix at three different steps.
+  for (int hidden : kHiddenSizes) {
+    SCOPED_TRACE(hidden);
+    Rng rng(2);
+    Lstm lstm(2, hidden, rng);
+    ExpectBatchMatchesTape(lstm, {RandomSequence(7, 2, 20),
+                                  RandomSequence(3, 2, 21),
+                                  RandomSequence(1, 2, 22),
+                                  RandomSequence(5, 2, 23),
+                                  RandomSequence(7, 2, 24)});
   }
 }
 
 TEST(BatchedLstmTest, SingleSequenceBatch) {
-  Rng rng(3);
-  Lstm lstm(2, 3, rng);
-  const Tensor input = RandomSequence(4, 2, 30);
-  const auto batched = BatchedLstmForward(lstm.cell(), {input});
-  const Tensor expected = lstm.Forward(input);
-  for (size_t k = 0; k < expected.data().size(); ++k) {
-    EXPECT_NEAR(batched[0].data()[k], expected.data()[k], 1e-6f);
+  for (int hidden : kHiddenSizes) {
+    SCOPED_TRACE(hidden);
+    Rng rng(3);
+    Lstm lstm(2, hidden, rng);
+    ExpectBatchMatchesTape(lstm, {RandomSequence(4, 2, 30)});
   }
 }
 
-TEST(BatchedLstmTest, GradientsMatchSequentialPath) {
-  // The loss on a short sequence in a mixed-length batch must produce the
-  // same input gradients as running that sequence alone: the mask has to
-  // block gradient flow through the steps where the sequence is finished.
-  Rng rng(4);
-  Lstm lstm(2, 3, rng);
-  Tensor short_seq = RandomSequence(2, 2, 40, /*requires_grad=*/true);
-  const Tensor long_seq = RandomSequence(6, 2, 41);
-
-  const auto batched_loss = [&] {
-    const auto outs = BatchedLstmForward(lstm.cell(), {short_seq, long_seq});
-    return Sum(outs[0]);
-  };
-  const auto sequential_loss = [&] { return Sum(lstm.Forward(short_seq)); };
-
-  short_seq.ZeroGrad();
-  batched_loss().Backward();
-  const std::vector<float> batched_grad = short_seq.grad();
-  short_seq.ZeroGrad();
-  sequential_loss().Backward();
-  const std::vector<float> sequential_grad = short_seq.grad();
-  ASSERT_EQ(batched_grad.size(), sequential_grad.size());
-  for (size_t i = 0; i < batched_grad.size(); ++i) {
-    EXPECT_NEAR(batched_grad[i], sequential_grad[i], 1e-5f);
+TEST(BatchedLstmTest, PrefixStepsMatchTape) {
+  // Forward(x, steps) with steps < rows, the route the padded pair
+  // forward takes: the rows past `steps` must not be read.
+  for (int hidden : kHiddenSizes) {
+    SCOPED_TRACE(hidden);
+    Rng rng(4);
+    Lstm lstm(3, hidden, rng);
+    const Tensor x = RandomSequence(6, 3, 40);
+    for (int steps = 1; steps <= x.rows(); ++steps) {
+      SCOPED_TRACE(steps);
+      const Tensor tape = lstm.Forward(x, steps);
+      NoGradGuard no_grad;
+      const Tensor fused = lstm.Forward(x, steps);
+      ASSERT_EQ(fused.rows(), steps);
+      EXPECT_EQ(Bits(fused), Bits(tape));
+    }
   }
-}
-
-TEST(BatchedLstmTest, NumericGradientThroughMaskedSteps) {
-  Rng rng(5);
-  LstmCell cell(2, 3, rng);
-  Tensor a = RandomSequence(3, 2, 50, /*requires_grad=*/true);
-  Tensor b = RandomSequence(5, 2, 51, /*requires_grad=*/true);
-  const auto loss = [&] {
-    const auto outs = BatchedLstmForward(cell, {a, b});
-    return Add(Sum(outs[0]), Sum(outs[1]));
-  };
-  EXPECT_LT(MaxGradError(loss, a), 2e-2);
-  EXPECT_LT(MaxGradError(loss, b), 2e-2);
-}
-
-TEST(MulColVectorTest, ForwardAndGradient) {
-  Tensor a = Tensor::FromData(2, 3, {1, 2, 3, 4, 5, 6},
-                              /*requires_grad=*/true);
-  Tensor col = Tensor::FromData(2, 1, {2.0f, 0.5f}, /*requires_grad=*/true);
-  const Tensor out = MulColVector(a, col);
-  const std::vector<float> expected{2, 4, 6, 2, 2.5, 3};
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_FLOAT_EQ(out.data()[i], expected[i]);
-  }
-  const auto loss = [&] { return Sum(Square(MulColVector(a, col))); };
-  EXPECT_LT(MaxGradError(loss, a), 2e-2);
-  EXPECT_LT(MaxGradError(loss, col), 2e-2);
 }
 
 }  // namespace

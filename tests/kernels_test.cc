@@ -5,8 +5,8 @@
 //    and the zero-skip matmul path are exercised;
 //  * the inference arena's ownership contract — buffer reuse across
 //    forwards never aliases live tensor data, and Clear() resets it;
-//  * the fused no-tape forwards (Lstm, BatchedLstmForward, TmnModel)
-//    match the op-graph tape path bit for bit.
+//  * the fused no-tape forwards (Lstm, TmnModel) match the op-graph
+//    tape path bit for bit.
 #include "nn/kernels/kernels.h"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "data/synthetic.h"
 #include "eval/evaluation.h"
 #include "geo/preprocess.h"
-#include "nn/batched_lstm.h"
 #include "nn/kernels/arena.h"
 #include "nn/lstm.h"
 #include "nn/ops.h"
@@ -227,14 +226,15 @@ TEST(InferenceFastPath, LstmForwardMatchesTapeBitwise) {
 
 TEST(InferenceFastPath, BatchedLstmForwardMatchesTapeBitwise) {
   Rng rng(22);
-  const tmn::nn::LstmCell cell(5, 7, rng);
-  // Mixed lengths so the padded-step masked blend runs.
+  const tmn::nn::Lstm lstm(5, 7, rng);
+  // Mixed lengths so the kernel's live prefix shrinks mid-batch.
   const std::vector<Tensor> inputs = {RandomTensor(9, 5, rng),
                                       RandomTensor(4, 5, rng),
                                       RandomTensor(12, 5, rng)};
-  const std::vector<Tensor> tape = tmn::nn::BatchedLstmForward(cell, inputs);
+  // Grad mode on: each sequence runs the op-graph tape loop alone.
+  const std::vector<Tensor> tape = lstm.ForwardBatch(inputs);
   tmn::nn::NoGradGuard no_grad;
-  const std::vector<Tensor> fused = tmn::nn::BatchedLstmForward(cell, inputs);
+  const std::vector<Tensor> fused = lstm.ForwardBatch(inputs);
   ASSERT_EQ(tape.size(), fused.size());
   for (size_t i = 0; i < tape.size(); ++i) {
     EXPECT_TRUE(BitwiseEq(tape[i].data(), fused[i].data())) << "seq " << i;

@@ -17,6 +17,29 @@ std::vector<geo::Trajectory> NormalizedTrajectories(int n, uint64_t seed) {
   return geo::NormalizeTrajectories(raw, geo::ComputeNormalization(raw));
 }
 
+// ForwardSingleBatch against per-item ForwardSingle over `trajs` (at
+// least 4), in the caller's grad mode.
+void ExpectBatchMatchesSingle(const TmnModel& tmn_nm,
+                              const std::vector<geo::Trajectory>& trajs) {
+  std::vector<const geo::Trajectory*> batch;
+  for (const auto& t : trajs) batch.push_back(&t);
+  const std::vector<nn::Tensor> outs = tmn_nm.ForwardSingleBatch(batch);
+  ASSERT_EQ(outs.size(), trajs.size());
+  for (size_t i = 0; i < trajs.size(); ++i) {
+    EXPECT_EQ(outs[i].data(), tmn_nm.ForwardSingle(trajs[i]).data())
+        << "batch member " << i;
+  }
+  // A different batch of the same items must not change any member's bits.
+  const std::vector<nn::Tensor> pair =
+      tmn_nm.ForwardSingleBatch({batch[2], batch[0]});
+  EXPECT_EQ(pair[1].data(), outs[0].data());
+  EXPECT_EQ(pair[0].data(), outs[2].data());
+  // A batch of one runs the same path and must agree too.
+  const std::vector<nn::Tensor> solo = tmn_nm.ForwardSingleBatch({batch[3]});
+  EXPECT_EQ(solo[0].data(), outs[3].data());
+  EXPECT_TRUE(tmn_nm.ForwardSingleBatch({}).empty());
+}
+
 class TmnModelTest : public ::testing::Test {
  protected:
   TmnModelTest() : trajs_(NormalizedTrajectories(4, 77)) {}
@@ -119,26 +142,21 @@ TEST_F(TmnModelTest, TmnNmForwardSingleMatchesPair) {
 
 TEST_F(TmnModelTest, ForwardSingleBatchBitwiseMatchesSingle) {
   // The contract the serving micro-batcher leans on (core/model.h): the
-  // fused batched forward returns the exact bits of per-item
-  // ForwardSingle, for every batch composition over ragged lengths.
-  TmnModel tmn_nm(Config(false));
-  nn::NoGradGuard no_grad;  // Inference mode: enables the fused path.
-  std::vector<const geo::Trajectory*> batch;
-  for (const auto& t : trajs_) batch.push_back(&t);
-  const std::vector<nn::Tensor> outs = tmn_nm.ForwardSingleBatch(batch);
-  ASSERT_EQ(outs.size(), trajs_.size());
-  for (size_t i = 0; i < trajs_.size(); ++i) {
-    EXPECT_EQ(outs[i].data(), tmn_nm.ForwardSingle(trajs_[i]).data())
-        << "batch member " << i;
+  // batched forward returns the exact bits of per-item ForwardSingle, for
+  // every batch composition over ragged lengths, for either backbone, in
+  // and out of grad mode.
+  for (const nn::RnnKind rnn : {nn::RnnKind::kLstm, nn::RnnKind::kGru}) {
+    TmnModelConfig config = Config(false);
+    config.rnn = rnn;
+    const TmnModel tmn_nm(config);
+    {
+      SCOPED_TRACE(nn::RnnName(rnn) + " without grad");
+      nn::NoGradGuard no_grad;  // Inference mode: the fused LSTM kernel.
+      ExpectBatchMatchesSingle(tmn_nm, trajs_);
+    }
+    SCOPED_TRACE(nn::RnnName(rnn) + " under grad");
+    ExpectBatchMatchesSingle(tmn_nm, trajs_);
   }
-  // A different batch of the same items must not change any member's bits.
-  const std::vector<nn::Tensor> pair =
-      tmn_nm.ForwardSingleBatch({batch[2], batch[0]});
-  EXPECT_EQ(pair[1].data(), outs[0].data());
-  EXPECT_EQ(pair[0].data(), outs[2].data());
-  // Size-1 batches take the scalar fallback and must agree too.
-  const std::vector<nn::Tensor> solo = tmn_nm.ForwardSingleBatch({batch[3]});
-  EXPECT_EQ(solo[0].data(), outs[3].data());
 }
 
 TEST_F(TmnModelTest, PredictedSimilarityInUnitInterval) {

@@ -25,7 +25,7 @@ mkdir -p "$LOG_DIR"
 # itself.
 STAGE_TITLES=(
   "Standard build (-Werror) + full ctest"
-  "Bench gate: bench_micro_nn + bench_micro_distance vs committed baselines"
+  "Bench gate: bench_micro_nn + bench_micro_distance + bench_micro_serve vs committed baselines"
   "tmn_lint gate"
   "clang thread-safety analysis (-Wthread-safety)"
   "Debug build: TMN_DCHECK invariant layer"
@@ -54,7 +54,8 @@ stage
 stage
 {
   cmake --build build -j "$JOBS" \
-      --target bench_micro_nn bench_micro_distance bench_compare
+      --target bench_micro_nn bench_micro_distance bench_micro_serve \
+      bench_compare
   # Stable checksum gauges hard-fail on drift; the timer gauges only warn.
   ./build/bench/bench_micro_nn "$LOG_DIR/BENCH_nn.json" \
       --benchmark_filter=NONE
@@ -64,6 +65,11 @@ stage
       --benchmark_filter=NONE
   ./build/tools/bench_compare bench/baselines/BENCH_distance.json \
       "$LOG_DIR/BENCH_distance.json"
+  # The encode path's stable gauges: trajectories encoded, the arena's
+  # high-water mark and batched == serial bitwise identity.
+  ./build/bench/bench_micro_serve "$LOG_DIR/BENCH_serve.json"
+  ./build/tools/bench_compare bench/baselines/BENCH_serve.json \
+      "$LOG_DIR/BENCH_serve.json"
 } 2>&1 | tee "$LOG_DIR/2-bench.log"
 
 stage
@@ -136,7 +142,7 @@ UBSAN_TESTS=(tensor_test ops_test autograd_test batched_lstm_test
 
 stage
 TSAN_TESTS=(thread_pool_test kernels_test trainer_test distance_test
-            eval_test integration_test serve_batch_test
+            eval_test integration_test serve_batch_test serve_test
             segmented_index_test)
 {
   cmake -B build-tsan -S . -DTMN_SANITIZE=thread >/dev/null
