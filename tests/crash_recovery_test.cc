@@ -10,8 +10,8 @@
 // The child mode is dispatched on the TMN_CRASH_CHILD environment
 // variable from a custom main(), so this target links GTest::gtest (not
 // gtest_main). All scenarios skip when the library was built without
-// failpoint sites (-DTMN_FAILPOINTS=OFF); the CI fault-injection jobs run
-// them for real.
+// failpoint sites (-DTMN_FAILPOINTS=OFF); the failpoints lane runs them
+// for real.
 
 #include <sys/wait.h>
 #include <unistd.h>

@@ -3,7 +3,7 @@
 // The registry functions are plain functions and fully testable in every
 // build; only the TMN_FAILPOINT *sites* inside the library compile away
 // when TMN_FAILPOINTS=OFF, so tests that go through library IO skip there
-// (the CI fault-injection job builds with the sites on).
+// (the failpoints lane builds with the sites on).
 
 #include <cstdio>
 #include <string>

@@ -5,7 +5,7 @@
 // tests/CMakeLists.txt), so the macro-level tests run in every build. The
 // library-level tests additionally require the *library* to have been
 // built with dchecks (a Debug build or -DTMN_DCHECKS=ON); they skip
-// otherwise, and tools/check.sh runs them against a Debug build.
+// otherwise, and the dcheck lane runs them against a Debug build.
 
 #include <gtest/gtest.h>
 

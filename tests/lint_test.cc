@@ -311,7 +311,7 @@ TEST(LintTest, MissingExplicitLayeringPolicyIsAnError) {
 //
 // gcc compiles the TMN_GUARDED_BY annotations away, so these two tests
 // only prove anything under clang; they skip (with a notice) when clang++
-// is not installed. CI runs them in the clang-thread-safety job.
+// is not installed. CI installs clang, so its release lane runs them.
 
 constexpr char kThreadSafetyFlags[] =
     "-std=c++20 -fsyntax-only -Isrc -Wthread-safety -Werror ";

@@ -3,8 +3,8 @@
 // fake clocks, queue shedding, drain-on-destruction, circuit-breaker
 // accounting for expired batch members, and — the load-bearing contract —
 // bitwise identity between SubmitTopK and the serial TopK path at every
-// batch cutoff and submitter count. Runs in every build flavor and under
-// TSan in the `serve-batching` CI job; failpoint scenarios live in
+// batch cutoff and submitter count. Runs in every build flavor, including
+// the tsan and failpoints lanes; failpoint scenarios live in
 // serve_faults_test.cc.
 
 #include <atomic>

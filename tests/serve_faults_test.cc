@@ -5,7 +5,7 @@
 // typed non-OK Status. Never a crash, never a silently wrong answer.
 //
 // The failpoint *sites* compile away unless the library was built with
-// -DTMN_FAILPOINTS=ON (the CI `serve-faults` job), so injected scenarios
+// -DTMN_FAILPOINTS=ON (the failpoints lane), so injected scenarios
 // skip in plain builds; the baseline and determinism cases run anywhere.
 
 #include <algorithm>

@@ -38,7 +38,7 @@
 // time) as a tmn.run_report/1 JSON document — the same schema the bench
 // RunReports use, so tools/bench_compare can diff two lint runs. The
 // emission here is hand-rolled to keep the linter a single dependency-free
-// TU (CI compiles it with one g++ invocation before anything else builds);
+// TU (the release lane compiles it alone, with no include path);
 // the `lint_report_compare` ctest entry diffs two fresh reports through
 // bench_compare, which pins the schema compatibility.
 
