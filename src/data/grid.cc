@@ -38,7 +38,12 @@ std::vector<int64_t> Grid::NeighborhoodOf(const geo::Point& p) const {
   const int64_t cell = CellOf(p);
   const int x = static_cast<int>(cell % cells_per_side_);
   const int y = static_cast<int>(cell / cells_per_side_);
-  std::vector<int64_t> out{cell};
+  // reserve + push_back rather than `out{cell}`: gcc 12 under
+  // -fsanitize=undefined reads the one-element initializer as the whole
+  // array and warns (-Warray-bounds) on the push_backs below.
+  std::vector<int64_t> out;
+  out.reserve(5);
+  out.push_back(cell);
   if (x > 0) out.push_back(cell - 1);
   if (x + 1 < cells_per_side_) out.push_back(cell + 1);
   if (y > 0) out.push_back(cell - cells_per_side_);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "nn/kernels/kernels.h"
 
 namespace tmn::dist {
 
@@ -14,27 +15,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 double DtwMetric::Compute(const geo::Trajectory& a,
                           const geo::Trajectory& b) const {
   TMN_CHECK(!a.empty() && !b.empty());
-  const size_t m = a.size();
-  const size_t n = b.size();
-  // Rolling one-row DP: dp[j] holds DTW cost of a[..i] vs b[..j]. The cell
-  // to the left, dp[i][j-1], stays in `left` instead of being reloaded from
-  // curr[j - 1], and min(prev[j], prev[j-1]) does not depend on it, so each
-  // cell waits only on one min and one add of its predecessor.
-  std::vector<double> prev(n + 1, kInf);
-  std::vector<double> curr(n + 1, kInf);
-  prev[0] = 0.0;
-  for (size_t i = 1; i <= m; ++i) {
-    const geo::Point& p = a[i - 1];
-    double left = kInf;
-    curr[0] = left;
-    for (size_t j = 1; j <= n; ++j) {
-      const double cost = geo::EuclideanDistance(p, b[j - 1]);
-      left = cost + std::min(left, std::min(prev[j], prev[j - 1]));
-      curr[j] = left;
-    }
-    std::swap(prev, curr);
-  }
-  return prev[n];
+  return nn::kernels::Active().dtw(PointCoordinates(a), a.size(),
+                                   PointCoordinates(b), b.size());
 }
 
 DtwAlignment ComputeDtwAlignment(const geo::Trajectory& a,

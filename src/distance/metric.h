@@ -60,6 +60,13 @@ class DistanceMetric {
                          const geo::Trajectory& b) const = 0;
 };
 
+// The points of a non-empty `t` as the interleaved (x, y) doubles that the
+// exact DP kernels (nn::kernels::KernelTable::dtw, ::frechet) take.
+inline const double* PointCoordinates(const geo::Trajectory& t) {
+  static_assert(sizeof(geo::Point) == 2 * sizeof(double));
+  return &t[0].lon;
+}
+
 // Factory for the metric implementations in this directory.
 std::unique_ptr<DistanceMetric> CreateMetric(MetricType type,
                                              const MetricParams& params = {});

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 namespace tmn::nn::kernels {
 
@@ -111,11 +113,71 @@ void LstmGatesScalar(float* z, const float* c_prev, float* c_next,
   }
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Distance between the (x, y) points at p and q: geo::EuclideanDistance's
+// arithmetic on plain doubles.
+double PointDistance(const double* p, const double* q) {
+  const double dx = p[0] - q[0];
+  const double dy = p[1] - q[1];
+  return std::sqrt(dx * dx + dy * dy);
+}
+
+double DtwScalar(const double* a, size_t m, const double* b, size_t n) {
+  // Rolling one-row DP: dp[j] holds DTW cost of a[..i] vs b[..j]. The cell
+  // to the left, dp[i][j-1], stays in `left` instead of being reloaded from
+  // curr[j - 1], and min(prev[j], prev[j-1]) does not depend on it, so each
+  // cell waits only on one min and one add of its predecessor.
+  std::vector<double> prev(n + 1, kInf);
+  std::vector<double> curr(n + 1, kInf);
+  prev[0] = 0.0;
+  for (size_t i = 1; i <= m; ++i) {
+    const double* p = a + 2 * (i - 1);
+    double left = kInf;
+    curr[0] = left;
+    for (size_t j = 1; j <= n; ++j) {
+      const double cost = PointDistance(p, b + 2 * (j - 1));
+      left = cost + std::min(left, std::min(prev[j], prev[j - 1]));
+      curr[j] = left;
+    }
+    std::swap(prev, curr);
+  }
+  return prev[n];
+}
+
+double FrechetScalar(const double* a, size_t m, const double* b, size_t n) {
+  // dp[j] = discrete Fréchet of a[..i] vs b[..j]; rolling rows. As in DTW,
+  // the cell to the left stays in `left` and min(prev[j], prev[j-1]) is
+  // formed off the loop-carried chain. Row 0 and column 0 take the max
+  // along their one path, which is what the inf boundary gives.
+  std::vector<double> prev(n, 0.0);
+  std::vector<double> curr(n, 0.0);
+  double left = PointDistance(a, b);
+  prev[0] = left;
+  for (size_t j = 1; j < n; ++j) {
+    left = std::max(left, PointDistance(a, b + 2 * j));
+    prev[j] = left;
+  }
+  for (size_t i = 1; i < m; ++i) {
+    const double* p = a + 2 * i;
+    left = std::max(prev[0], PointDistance(p, b));
+    curr[0] = left;
+    for (size_t j = 1; j < n; ++j) {
+      const double d = PointDistance(p, b + 2 * j);
+      left = std::max(std::min(left, std::min(prev[j], prev[j - 1])), d);
+      curr[j] = left;
+    }
+    std::swap(prev, curr);
+  }
+  return prev[n - 1];
+}
+
 constexpr KernelTable kScalarTable = {
     MatMulScalar,    AddScalar,        SubScalar,
     MulScalarKernel, AxpyScalar,       MulAccScalar,
     ScaleScalar,     AddRowVectorScalar, LeakyReluScalar,
-    SoftmaxRowsScalar, LstmGatesScalar,
+    SoftmaxRowsScalar, LstmGatesScalar, DtwScalar,
+    FrechetScalar,
 };
 
 Backend SelectBackend() {

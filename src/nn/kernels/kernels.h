@@ -5,7 +5,8 @@
 
 namespace tmn::nn::kernels {
 
-// Runtime-dispatched compute kernels for the nn engine.
+// Runtime-dispatched compute kernels: the nn engine's dense float math and
+// the exact-metric DPs of src/distance.
 //
 // Two implementations of one table: a portable scalar baseline
 // (kernels.cc) and an AVX2 variant (kernels_avx2.cc, compiled with -mavx2
@@ -14,7 +15,8 @@ namespace tmn::nn::kernels {
 // cpuid picks AVX2 when the CPU supports it, else scalar.
 //
 // Determinism contract — every kernel, in every backend, produces
-// BITWISE-IDENTICAL results to the historical scalar loops in ops.cc:
+// BITWISE-IDENTICAL results to the historical scalar loops in ops.cc and
+// src/distance:
 //  - Reductions keep the original sequential accumulation order. The AVX2
 //    matmul vectorizes across output columns (j), never across the
 //    reduction dimension (k), and performs separate mul+add (no FMA; the
@@ -24,6 +26,8 @@ namespace tmn::nn::kernels {
 //  - Transcendentals stay std::exp / std::tanh — no vector approximations.
 //  - Softmax keeps its sequential denominator; AVX2 only vectorizes the
 //    row max (an exact selection) and the final element-wise divide.
+//  - The DP kernels may visit cells in another order (AVX2 walks
+//    anti-diagonals), but each cell keeps its operands and arithmetic.
 // Consequently scalar-vs-AVX2 parity holds bit-for-bit (enforced by
 // tests/kernels_test.cc over odd/unaligned shapes), and results are
 // independent of thread count. See docs/KERNELS.md.
@@ -35,7 +39,8 @@ enum class Backend {
 
 const char* BackendName(Backend backend);
 
-// All matrices are dense row-major float32.
+// The nn entries take dense row-major float32 matrices and vectors; the DP
+// entries take point sequences as float64 (x, y) pairs.
 struct KernelTable {
   // c += a·b for a (m×k), b (k×n), c (m×n). `c` must be pre-zeroed (or
   // hold a partial sum to accumulate onto). i-k-j order, aik==0 skip.
@@ -67,6 +72,18 @@ struct KernelTable {
   // matching the op-graph Add(Mul,Mul) / Mul(o,Tanh(c)) rounding exactly.
   void (*lstm_gates)(float* z, const float* c_prev, float* c_next,
                      float* h_next, int batch, int hidden);
+  // Exact trajectory DPs of `a` (m points) against `b` (n points), m and
+  // n >= 1, each point an interleaved (x, y) pair. Cell (i, j) of the
+  // (m+1)×(n+1) table takes cost = sqrt(dx*dx + dy*dy) with dx = a.x - b.x
+  // and dy = a.y - b.y of points i-1 and j-1, and
+  // min3 = min(left, min(up, diag)) of its three predecessors, then
+  //   dtw:     cost + min3         (DTW)
+  //   frechet: max(min3, cost)     (discrete Fréchet)
+  // Row and column 0 hold inf, except cell (0, 0): 0 for dtw, -inf for
+  // frechet. The result is cell (m, n). For coordinates that give no NaN
+  // every backend returns the same bits.
+  double (*dtw)(const double* a, size_t m, const double* b, size_t n);
+  double (*frechet)(const double* a, size_t m, const double* b, size_t n);
 };
 
 // The process-wide active table (selected once, thread-safe).

@@ -14,12 +14,16 @@
 //    element-wise _mm256_div_ps; the exp+denominator loop stays scalar
 //    and sequential.
 // Tail elements (n % 8) run the scalar loop — elementwise kernels have no
-// cross-lane interaction, so lane partitioning cannot change results.
+// cross-lane interaction, so lane partitioning cannot change results. The
+// DP kernels instead let their last step run into padded buffers (see
+// AntiDiagonalDp).
 
 #include <immintrin.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "nn/kernels/kernels.h"
 
@@ -214,10 +218,106 @@ void LstmGatesAvx2(float* z, const float* c_prev, float* c_next,
   }
 }
 
+// Cell rules of the exact-metric DPs. std::max(x, y) is (x < y) ? y : x,
+// which is _mm256_max_pd(y, x) for every input, NaN and signed zeros
+// included; likewise std::min(x, y) is _mm256_min_pd(y, x).
+struct DtwCell {
+  static constexpr double kOrigin = 0.0;
+  // cost + min3
+  static __m256d Apply(__m256d cost, __m256d min3) {
+    return _mm256_add_pd(cost, min3);
+  }
+};
+
+struct FrechetCell {
+  static constexpr double kOrigin = -std::numeric_limits<double>::infinity();
+  // std::max(min3, cost)
+  static __m256d Apply(__m256d cost, __m256d min3) {
+    return _mm256_max_pd(cost, min3);
+  }
+};
+
+// The DP of kernels.h along anti-diagonals. Cell (i, j) needs (i, j-1) and
+// (i-1, j) from anti-diagonal i+j-1 and (i-1, j-1) from i+j-2, so the
+// cells of one anti-diagonal are independent and 4 go in one step. A
+// diagonal is stored by i in one of three rotating buffers; `b` is copied
+// reversed so that b[j-1] = b[k-i-1] also moves forward with i, and both
+// operands load contiguously. Each cell computes the scalar loop's
+// expression on the same operands, so the result is bit for bit the same.
+//
+// There is no scalar tail: the last step of a diagonal may run up to 3
+// lanes past its end. Every buffer is kPad entries longer than the m or n
+// it holds, so those lanes stay inside it, and no cell of a later diagonal
+// reads what they wrote (cells hi+2 and up). Cells 0 and hi+1, the
+// boundary that the next two diagonals read, are reset to inf after each
+// diagonal.
+template <typename Rule>
+double AntiDiagonalDp(const double* a, size_t m, const double* b, size_t n) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr size_t kPad = 4;
+  const size_t rows = m + kPad;
+  const size_t cols = n + kPad;
+  // ax, ay, bx, by, then the three diagonals.
+  std::vector<double> buffer(5 * rows + 2 * cols, 0.0);
+  double* ax = buffer.data();
+  double* ay = ax + rows;
+  double* bx = ay + rows;
+  double* by = bx + cols;
+  double* diag = by + cols;  // anti-diagonal k-2
+  double* side = diag + rows;  // anti-diagonal k-1
+  double* next = side + rows;  // anti-diagonal k
+  for (size_t i = 0; i < m; ++i) {
+    ax[i] = a[2 * i];
+    ay[i] = a[2 * i + 1];
+  }
+  for (size_t j = 0; j < n; ++j) {
+    bx[n - 1 - j] = b[2 * j];
+    by[n - 1 - j] = b[2 * j + 1];
+  }
+  std::fill(diag, diag + 3 * rows, kInf);
+  diag[0] = Rule::kOrigin;  // anti-diagonal 0; `side`, 1, is all boundary
+  for (size_t k = 2; k <= m + n; ++k) {
+    const size_t lo = k > n + 1 ? k - n : 1;
+    const size_t hi = std::min(m, k - 1);
+    for (size_t i = lo; i <= hi; i += 4) {
+      const size_t r = n + i - k;  // b[k-i-1] in the reversed copy
+      const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(ax + i - 1),
+                                       _mm256_loadu_pd(bx + r));
+      const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ay + i - 1),
+                                       _mm256_loadu_pd(by + r));
+      const __m256d cost = _mm256_sqrt_pd(
+          _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
+      const __m256d left = _mm256_loadu_pd(side + i);
+      const __m256d up = _mm256_loadu_pd(side + i - 1);
+      const __m256d corner = _mm256_loadu_pd(diag + i - 1);
+      // min(left, min(up, corner)), operands in the scalar loop's order.
+      const __m256d min3 =
+          _mm256_min_pd(_mm256_min_pd(corner, up), left);
+      _mm256_storeu_pd(next + i, Rule::Apply(cost, min3));
+    }
+    next[0] = kInf;
+    next[hi + 1] = kInf;
+    double* spent = diag;
+    diag = side;
+    side = next;
+    next = spent;
+  }
+  return side[m];
+}
+
+double DtwAvx2(const double* a, size_t m, const double* b, size_t n) {
+  return AntiDiagonalDp<DtwCell>(a, m, b, n);
+}
+
+double FrechetAvx2(const double* a, size_t m, const double* b, size_t n) {
+  return AntiDiagonalDp<FrechetCell>(a, m, b, n);
+}
+
 constexpr KernelTable kAvx2Table = {
     MatMulAvx2,  AddAvx2,          SubAvx2,       MulAvx2,
     AxpyAvx2,    MulAccAvx2,       ScaleAvx2,     AddRowVectorAvx2,
-    LeakyReluAvx2, SoftmaxRowsAvx2, LstmGatesAvx2,
+    LeakyReluAvx2, SoftmaxRowsAvx2, LstmGatesAvx2, DtwAvx2,
+    FrechetAvx2,
 };
 
 bool CpuHasAvx2() {

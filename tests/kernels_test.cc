@@ -2,7 +2,9 @@
 //
 //  * bitwise scalar-vs-AVX2 parity for every KernelTable entry, swept
 //    over shapes from 1x1 up to 65x67 so partial SIMD lanes (n % 8 != 0)
-//    and the zero-skip matmul path are exercised;
+//    and the zero-skip matmul path are exercised, and for the DTW and
+//    Fréchet DPs over every length pair up to 40x40, ties, repeated
+//    points and squared distances that overflow to inf;
 //  * the inference arena's ownership contract — buffer reuse across
 //    forwards never aliases live tensor data, and Clear() resets it;
 //  * the fused no-tape forwards (Lstm, TmnModel) match the op-graph
@@ -11,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/tmn_model.h"
@@ -193,6 +197,118 @@ TEST(KernelParity, LstmGatesSweep) {
       ASSERT_TRUE(BitwiseEq(hs, hv)) << batch << "x" << hidden;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Exact-metric DPs: the AVX2 anti-diagonal walk vs the scalar row loops.
+
+using DpEntry = double (*KernelTable::*)(const double*, size_t,
+                                          const double*, size_t);
+
+// Both DP entries of both backends on (a, b) and on (b, a), compared bit
+// for bit. Points are interleaved (x, y) pairs.
+::testing::AssertionResult DpParity(const std::vector<double>& a,
+                                    const std::vector<double>& b) {
+  const KernelTable& scalar = Scalar();
+  const KernelTable& avx2 = *Avx2();
+  for (DpEntry entry : {&KernelTable::dtw, &KernelTable::frechet}) {
+    const char* name = entry == &KernelTable::dtw ? "dtw" : "frechet";
+    for (const auto& [x, y] : {std::pair(&a, &b), std::pair(&b, &a)}) {
+      const size_t m = x->size() / 2;
+      const size_t n = y->size() / 2;
+      const double s = (scalar.*entry)(x->data(), m, y->data(), n);
+      const double v = (avx2.*entry)(x->data(), m, y->data(), n);
+      if (std::memcmp(&s, &v, sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << name << " " << m << "x" << n << ": scalar " << s
+               << " vs avx2 " << v;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// n points of a random walk with steps up to `step` in each coordinate.
+std::vector<double> WalkPoints(size_t n, double step, Rng& rng) {
+  std::vector<double> points(2 * n);
+  double x = rng.Uniform(0, 1);
+  double y = rng.Uniform(0, 1);
+  for (size_t i = 0; i < n; ++i) {
+    x += rng.Uniform(-step, step);
+    y += rng.Uniform(-step, step);
+    points[2 * i] = x;
+    points[2 * i + 1] = y;
+  }
+  return points;
+}
+
+TEST(KernelParity, DpEveryLengthPairUpTo40) {
+  if (Avx2() == nullptr) GTEST_SKIP() << "AVX2 backend unavailable";
+  // Every anti-diagonal length from 1 to 40 crosses the 4-lane width.
+  Rng rng(16);
+  for (size_t m = 1; m <= 40; ++m) {
+    for (size_t n = 1; n <= 40; ++n) {
+      ASSERT_TRUE(DpParity(WalkPoints(m, 0.01, rng),
+                           WalkPoints(n, 0.01, rng)));
+    }
+  }
+}
+
+TEST(KernelParity, DpGeolifeLengths) {
+  if (Avx2() == nullptr) GTEST_SKIP() << "AVX2 backend unavailable";
+  Rng rng(17);
+  for (int pair = 0; pair < 24; ++pair) {
+    const size_t m = 60 + rng.UniformInt(101);
+    const size_t n = 60 + rng.UniformInt(101);
+    ASSERT_TRUE(DpParity(WalkPoints(m, 0.002, rng),
+                         WalkPoints(n, 0.002, rng)));
+  }
+}
+
+TEST(KernelParity, DpTiesSelfAndRepeatedPoints) {
+  if (Avx2() == nullptr) GTEST_SKIP() << "AVX2 backend unavailable";
+  Rng rng(18);
+  for (size_t len : {1, 2, 3, 4, 5, 7, 8, 9, 17, 33, 64, 101}) {
+    const auto walk = WalkPoints(len, 0.01, rng);
+    // Against itself: zero-cost cells on the main diagonal, equal
+    // predecessors all around it.
+    ASSERT_TRUE(DpParity(walk, walk)) << "self, length " << len;
+    // Each point repeated 1-3 times: runs of equal costs and equal cells.
+    std::vector<double> repeated;
+    for (size_t i = 0; i < len; ++i) {
+      for (size_t r = 0; r <= i % 3; ++r) {
+        repeated.insert(repeated.end(), {walk[2 * i], walk[2 * i + 1]});
+      }
+    }
+    ASSERT_TRUE(DpParity(walk, repeated)) << "repeated, length " << len;
+    ASSERT_TRUE(DpParity(repeated, repeated)) << "repeated self " << len;
+    // Points on a coarse grid: many cells share a cost exactly.
+    auto grid = WalkPoints(len, 0.3, rng);
+    for (double& c : grid) c = std::round(c * 4.0) / 4.0;
+    ASSERT_TRUE(DpParity(grid, repeated)) << "grid, length " << len;
+  }
+}
+
+TEST(KernelParity, DpSquaredDistanceOverflowsToInf) {
+  if (Avx2() == nullptr) GTEST_SKIP() << "AVX2 backend unavailable";
+  // Coordinates up to 1e154 in magnitude: dx*dx + dy*dy passes DBL_MAX for
+  // far-apart points, so some cells cost inf and the rest stay finite.
+  Rng rng(19);
+  int infinite = 0;
+  int finite = 0;
+  for (int pair = 0; pair < 64; ++pair) {
+    auto a = WalkPoints(1 + rng.UniformInt(40), 0.1, rng);
+    auto b = WalkPoints(1 + rng.UniformInt(40), 0.1, rng);
+    for (double& c : a) c *= 1e154;
+    for (double& c : b) c *= 1e154;
+    ASSERT_TRUE(DpParity(a, b)) << "pair " << pair;
+    const double frechet =
+        Scalar().frechet(a.data(), a.size() / 2, b.data(), b.size() / 2);
+    (std::isinf(frechet) ? infinite : finite) += 1;
+  }
+  // Both outcomes occur, so the sweep covers the overflow.
+  EXPECT_GT(infinite, 0);
+  EXPECT_GT(finite, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ run_lane() {
       no_skips
       ;;
     ubsan)
-      build_lane_tests build-ubsan -DTMN_SANITIZE=undefined
+      build_lane_tests build-ubsan -DTMN_WERROR=ON -DTMN_SANITIZE=undefined
       UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
           run_ctest build-ubsan -L ubsan
       ;;
