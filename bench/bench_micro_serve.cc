@@ -4,11 +4,12 @@
 // — plus the deterministic shed rate of an over-capacity burst.
 //
 // The tiers are exercised by construction, not by fault injection: the
-// lower-tier servers are built with the upper tiers disabled in
-// ServerConfig, so this bench runs in any build. Latency quantiles are
-// machine-dependent (unstable, warn-only in bench_compare); the served /
-// shed counts and the tier each server answers from are part of the
-// serving contract and gate as stable metrics.
+// lower-tier servers are built without a model (and, for tier 3, with
+// ServerConfig::enable_rerank_tier off), so this bench runs in any
+// build. Latency quantiles are machine-dependent (unstable, warn-only in
+// bench_compare); the served / shed counts and the tier each server
+// answers from are part of the serving contract and gate as stable
+// metrics.
 //
 // Emits a RunReport (schema tmn.run_report/1). The committed baseline
 // lives at bench/baselines/BENCH_serve.json; CI regenerates the report
@@ -89,13 +90,11 @@ int main(int argc, char** argv) {
   };
   for (TierRun& run : runs) {
     tmn::serve::ServerConfig config;
-    config.enable_embedding_tier =
-        run.expected_tier == tmn::serve::ServeTier::kEmbeddingAnn;
     config.enable_rerank_tier =
         run.expected_tier != tmn::serve::ServeTier::kExactBruteForce;
     auto server_or = tmn::serve::SimilarityServer::Create(
         config, trajs, tmn::dist::CreateMetric(tmn::dist::MetricType::kHausdorff),
-        config.enable_embedding_tier
+        run.expected_tier == tmn::serve::ServeTier::kEmbeddingAnn
             ? std::make_unique<tmn::core::TmnModel>(model_config)
             : nullptr);
     if (!server_or.ok()) {
@@ -120,10 +119,15 @@ int main(int argc, char** argv) {
     run.p99_us = Percentile(latencies, 0.99);
   }
 
-  // Over-capacity burst: batch admission is positional, so exactly the
-  // first kBurstCapacity queries are served and the rest shed.
+  // Over-capacity burst through SubmitTopK on a server whose batcher
+  // cannot flush before destruction: every admitted query stays parked on
+  // its admission slot, so exactly the first kBurstCapacity queries are
+  // admitted and the rest shed. Destruction drains the admitted ones.
   tmn::serve::ServerConfig burst_config;
   burst_config.queue_capacity = kBurstCapacity;
+  burst_config.batching.max_batch_size = kQueries + 1;
+  burst_config.batching.max_linger_seconds = 1000.0;
+  burst_config.batching.flush_slack_seconds = 0.0;
   auto burst_or = tmn::serve::SimilarityServer::Create(
       burst_config, trajs,
       tmn::dist::CreateMetric(tmn::dist::MetricType::kHausdorff),
@@ -133,19 +137,25 @@ int main(int argc, char** argv) {
                  burst_or.status().ToString().c_str());
     return 1;
   }
-  const auto burst = burst_or.value()->TopKBatch(queries, kTopK);
-  size_t burst_served = 0;
+  std::vector<std::future<tmn::common::StatusOr<tmn::serve::QueryResult>>>
+      burst;
   size_t burst_shed = 0;
-  for (const auto& response : burst) {
-    if (response.ok()) {
-      ++burst_served;
-    } else if (response.status().code() ==
+  for (const auto& query : queries) {
+    auto submitted = burst_or.value()->SubmitTopK(query, kTopK);
+    if (submitted.ok()) {
+      burst.push_back(std::move(submitted.value()));
+    } else if (submitted.status().code() ==
                tmn::common::StatusCode::kResourceExhausted) {
       ++burst_shed;
     }
   }
+  burst_or.value().reset();
+  size_t burst_served = 0;
+  for (auto& future : burst) {
+    if (future.get().ok()) ++burst_served;
+  }
   const double shed_rate =
-      static_cast<double>(burst_shed) / static_cast<double>(burst.size());
+      static_cast<double>(burst_shed) / static_cast<double>(kQueries);
 
   // Micro-batched burst (SubmitTopK) vs the serial path on one server:
   // the same kQueries arriving at once, answered serially one at a time

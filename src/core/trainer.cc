@@ -24,13 +24,8 @@ namespace {
 // workers, large enough to amortize the per-sink hash-map overhead.
 constexpr size_t kGradChunkSamples = 2;
 
-uint64_t PairKey(size_t anchor, size_t sample) {
-  return (static_cast<uint64_t>(anchor) << 32) |
-         static_cast<uint64_t>(sample);
-}
-
 // Trainer metrics. Counters are kStable: for a fixed seed and corpus the
-// pair/chunk/cache arithmetic is bitwise identical at any thread count
+// pair/chunk arithmetic is bitwise identical at any thread count
 // (the determinism contract), so tools/bench_compare hard-gates them.
 struct TrainerMetrics {
   obs::Counter& epochs;
@@ -38,9 +33,6 @@ struct TrainerMetrics {
   obs::Counter& pairs;
   obs::Counter& grad_chunks;
   obs::Counter& nonfinite_batches;
-  obs::Counter& sub_cache_hits;
-  obs::Counter& sub_cache_misses;
-  obs::Counter& sub_cache_evictions;
   obs::Histogram& epoch_seconds;
   obs::Histogram& sub_distance_seconds;
 
@@ -52,9 +44,6 @@ struct TrainerMetrics {
         reg.GetCounter("tmn.core.trainer.pairs"),
         reg.GetCounter("tmn.core.trainer.grad_chunks"),
         reg.GetCounter("tmn.core.trainer.nonfinite_batches"),
-        reg.GetCounter("tmn.core.trainer.sub_cache_hits"),
-        reg.GetCounter("tmn.core.trainer.sub_cache_misses"),
-        reg.GetCounter("tmn.core.trainer.sub_cache_evictions"),
         reg.GetTimer("tmn.core.trainer.epoch_seconds"),
         reg.GetTimer("tmn.core.trainer.sub_distance_seconds"),
     };
@@ -87,64 +76,35 @@ PairTrainer::PairTrainer(SimilarityModel* model,
   TMN_CHECK(distances_->cols() == train_set_->size());
   TMN_CHECK(!config_.use_sub_loss || metric_ != nullptr);
   TMN_CHECK(config_.alpha > 0.0);
-  TMN_CHECK(config_.sub_cache_max_pairs > 0);
   params_ = model_->Parameters();
   optimizer_ = std::make_unique<nn::Adam>(params_, config_.lr);
 }
 
-std::vector<const std::vector<double>*> PairTrainer::PrepareSubDistances(
-    size_t anchor, const std::vector<TrainingSample>& samples) {
-  std::vector<const std::vector<double>*> out(samples.size(), nullptr);
+std::vector<std::vector<double>> PairTrainer::PrepareSubDistances(
+    size_t anchor, const std::vector<TrainingSample>& samples) const {
+  std::vector<std::vector<double>> out(samples.size());
   if (!config_.use_sub_loss) return out;
-  TrainerMetrics& metrics = TrainerMetrics::Get();
-  // Bound the cache with wholesale eviction: recently used pairs resample
-  // soon anyway (each epoch redraws partners for the same anchors).
-  if (sub_cache_.size() + samples.size() > config_.sub_cache_max_pairs) {
-    sub_cache_.clear();
-    metrics.sub_cache_evictions.Increment();
-  }
-  std::vector<size_t> missing;
-  for (size_t i = 0; i < samples.size(); ++i) {
-    if (!sub_cache_.contains(PairKey(anchor, samples[i].index))) {
-      missing.push_back(i);
-    }
-  }
-  metrics.sub_cache_misses.Increment(missing.size());
-  metrics.sub_cache_hits.Increment(samples.size() - missing.size());
-  if (!missing.empty()) {
-    obs::ScopedTimer timer(metrics.sub_distance_seconds);
-    const geo::Trajectory loss_a =
-        model_->LossTrajectory((*train_set_)[anchor]);
-    std::vector<std::vector<double>> computed(missing.size());
-    common::ParallelFor(
-        0, missing.size(),
-        [&](size_t mi) {
-          const geo::Trajectory loss_b =
-              model_->LossTrajectory((*train_set_)[samples[missing[mi]].index]);
-          const size_t limit = std::min(loss_a.size(), loss_b.size());
-          std::vector<double>& values = computed[mi];
-          for (size_t len = config_.sub_stride; len <= limit;
-               len += config_.sub_stride) {
-            values.push_back(
-                metric_->Compute(loss_a.Prefix(len), loss_b.Prefix(len)));
-          }
-        },
-        config_.num_threads);
-    // Insert on this thread only; emplace dedupes repeated keys.
-    for (size_t mi = 0; mi < missing.size(); ++mi) {
-      sub_cache_.emplace(PairKey(anchor, samples[missing[mi]].index),
-                         std::move(computed[mi]));
-    }
-  }
-  for (size_t i = 0; i < samples.size(); ++i) {
-    out[i] = &sub_cache_.at(PairKey(anchor, samples[i].index));
-  }
+  obs::ScopedTimer timer(TrainerMetrics::Get().sub_distance_seconds);
+  const geo::Trajectory loss_a = model_->LossTrajectory((*train_set_)[anchor]);
+  common::ParallelFor(
+      0, samples.size(),
+      [&](size_t i) {
+        const geo::Trajectory loss_b =
+            model_->LossTrajectory((*train_set_)[samples[i].index]);
+        const size_t limit = std::min(loss_a.size(), loss_b.size());
+        for (size_t len = config_.sub_stride; len <= limit;
+             len += config_.sub_stride) {
+          out[i].push_back(
+              metric_->Compute(loss_a.Prefix(len), loss_b.Prefix(len)));
+        }
+      },
+      config_.num_threads);
   return out;
 }
 
 void PairTrainer::AccumulatePairLoss(size_t anchor,
                                      const TrainingSample& sample,
-                                     const std::vector<double>* sub_dists,
+                                     const std::vector<double>& sub_dists,
                                      std::vector<nn::Tensor>* terms,
                                      std::vector<double>* weights) const {
   const geo::Trajectory& traj_a = (*train_set_)[anchor];
@@ -167,17 +127,16 @@ void PairTrainer::AccumulatePairLoss(size_t anchor,
   // Prefix ground truths were precomputed on the model's loss
   // trajectories so a model that pre-simplifies its input (Traj2SimVec)
   // stays consistent.
-  TMN_CHECK(sub_dists != nullptr);
-  if (sub_dists->empty()) return;
-  const double r = static_cast<double>(sub_dists->size());
-  for (size_t k = 0; k < sub_dists->size(); ++k) {
+  if (sub_dists.empty()) return;
+  const double r = static_cast<double>(sub_dists.size());
+  for (size_t k = 0; k < sub_dists.size(); ++k) {
     const size_t len = (k + 1) * static_cast<size_t>(config_.sub_stride);
     TMN_CHECK(static_cast<int>(len) <= out.oa.rows());
     TMN_CHECK(static_cast<int>(len) <= out.ob.rows());
     const nn::Tensor pred_sub = PredictedSimilarity(
         nn::Row(out.oa, static_cast<int>(len) - 1),
         nn::Row(out.ob, static_cast<int>(len) - 1));
-    const double truth_sub = std::exp(-config_.alpha * (*sub_dists)[k]);
+    const double truth_sub = std::exp(-config_.alpha * sub_dists[k]);
     terms->push_back(PairLoss(pred_sub, truth_sub, config_.loss));
     weights->push_back(weight / r);
   }
@@ -200,7 +159,7 @@ double PairTrainer::TrainEpoch() {
     const std::vector<TrainingSample> samples =
         sampler_->SampleFor(anchor, rng_);
     if (samples.empty()) continue;
-    const std::vector<const std::vector<double>*> subs =
+    const std::vector<std::vector<double>> subs =
         PrepareSubDistances(anchor, samples);
 
     // Data-parallel forward + backward over fixed-size sample chunks.
@@ -304,9 +263,6 @@ common::Status PairTrainer::RestoreCheckpoint(
   rng_.RestoreState(checkpoint.rng);
   epochs_completed_ = static_cast<int>(checkpoint.epoch);
   *losses = checkpoint.losses;
-  // Pure memoization of deterministic ground truths; dropping it cannot
-  // change any computed value.
-  sub_cache_.clear();
   return common::Status::Ok();
 }
 

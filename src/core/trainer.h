@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/matrix.h"
@@ -35,10 +34,6 @@ struct TrainConfig {
   // sub-distance precompute (0 = all hardware threads, 1 = sequential).
   // Results are bitwise identical for every value: see docs/PARALLELISM.md.
   int num_threads = 0;
-  // Upper bound on cached (anchor, sample) prefix-distance vectors; the
-  // whole cache is dropped before it would grow past this, so long runs
-  // with many distinct pairs cannot grow memory without bound.
-  size_t sub_cache_max_pairs = 1u << 18;
 };
 
 // A sensible alpha for a distance matrix: 1 / mean off-diagonal distance,
@@ -55,7 +50,7 @@ class PairTrainer {
   // `model`, `train_set`, `distances`, `metric` and `sampler` must outlive
   // the trainer. `distances` is the pairwise ground-truth matrix over
   // `train_set`; `metric` is needed only when config.use_sub_loss (prefix
-  // ground truths are computed lazily and cached).
+  // ground truths are computed per anchor batch).
   PairTrainer(SimilarityModel* model,
               const std::vector<geo::Trajectory>* train_set,
               const DoubleMatrix* distances,
@@ -96,21 +91,19 @@ class PairTrainer {
 
  private:
   // Loss term for one (anchor, sample) pair; adds into `terms`/`weights`.
-  // `sub_dists` holds the pair's precomputed prefix ground truths (null
+  // `sub_dists` holds the pair's precomputed prefix ground truths (unread
   // when config.use_sub_loss is off). Called concurrently by workers; must
   // not touch trainer state beyond const reads.
   void AccumulatePairLoss(size_t anchor, const TrainingSample& sample,
-                          const std::vector<double>* sub_dists,
+                          const std::vector<double>& sub_dists,
                           std::vector<nn::Tensor>* terms,
                           std::vector<double>* weights) const;
 
-  // Ensures the prefix ground-truth distances of every (anchor, sample)
-  // pair are cached — missing entries are computed across the pool — and
-  // returns one pointer per sample, aligned with `samples`. The cache is
-  // only mutated here, on the calling thread, so the returned pointers are
-  // safe for concurrent reads until the next call.
-  std::vector<const std::vector<double>*> PrepareSubDistances(
-      size_t anchor, const std::vector<TrainingSample>& samples);
+  // The prefix ground-truth distances of every (anchor, sample) pair,
+  // computed across the pool, one vector per sample, aligned with
+  // `samples`. All empty when config.use_sub_loss is off.
+  std::vector<std::vector<double>> PrepareSubDistances(
+      size_t anchor, const std::vector<TrainingSample>& samples) const;
 
   SimilarityModel* model_;
   const std::vector<geo::Trajectory>* train_set_;
@@ -122,7 +115,6 @@ class PairTrainer {
   std::unique_ptr<nn::Adam> optimizer_;
   nn::Rng rng_;
   int epochs_completed_ = 0;
-  std::unordered_map<uint64_t, std::vector<double>> sub_cache_;
 };
 
 }  // namespace tmn::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 #include <utility>
 
 #include "common/clock.h"
@@ -21,15 +20,6 @@ obs::Counter& BatchCounter(const char* name) {
 }
 
 }  // namespace
-
-const char* BatchFlushReasonName(BatchFlushReason reason) {
-  switch (reason) {
-    case BatchFlushReason::kSize: return "size";
-    case BatchFlushReason::kDeadline: return "deadline";
-    case BatchFlushReason::kDrain: return "drain";
-  }
-  return "unknown";
-}
 
 FlushDecision DecideFlush(size_t pending, double oldest_age_seconds,
                           double oldest_slack_seconds,
@@ -81,39 +71,18 @@ double MicroBatcher::Now() const {
                                   : config_.clock();
 }
 
-size_t MicroBatcher::queue_depth() const {
-  common::MutexLock lock(mu_);
-  return queue_.size();
-}
-
-common::Status MicroBatcher::Submit(BatchRequest request) {
+void MicroBatcher::Submit(BatchRequest request) {
   static obs::Counter& submitted = BatchCounter("tmn.serve.batch.submitted");
-  static obs::Counter& shed = BatchCounter("tmn.serve.batch.shed_queue_full");
   static obs::Gauge& depth = obs::Registry::Global().GetGauge(
       "tmn.serve.batch.queue_depth", obs::Stability::kUnstable);
   request.enqueued_seconds = Now();
-  bool accepted = false;
   {
     common::MutexLock lock(mu_);
-    if (!stop_ && queue_.size() < config_.queue_capacity) {
-      queue_.push_back(std::move(request));
-      depth.Set(static_cast<double>(queue_.size()));
-      accepted = true;
-    }
+    queue_.push_back(std::move(request));
+    depth.Set(static_cast<double>(queue_.size()));
   }
-  if (accepted) {
-    submitted.Increment();
-    cv_.notify_one();
-    return common::Status::Ok();
-  }
-  shed.Increment();
-  common::Status status = common::ResourceExhaustedError(
-      "micro-batch queue full: " + std::to_string(config_.queue_capacity) +
-      " queries already waiting");
-  // Fulfill before returning so a future the caller already holds
-  // resolves with the same status Submit reports.
-  request.promise.set_value(common::StatusOr<QueryResult>(status));
-  return status;
+  submitted.Increment();
+  cv_.notify_one();
 }
 
 void MicroBatcher::DispatcherLoop() {

@@ -28,8 +28,6 @@ namespace tmn::serve {
 struct MicroBatcherConfig {
   // Close a batch as soon as this many members are pending.
   size_t max_batch_size = 8;
-  // Bounded submission queue; Submit past this sheds kResourceExhausted.
-  size_t queue_capacity = 64;
   // Close early once the oldest member's deadline slack is at or below
   // this: the budget reserved for encode/search/rerank to actually run.
   double flush_slack_seconds = 0.010;
@@ -47,7 +45,6 @@ struct MicroBatcherConfig {
 
 // Why a batch was closed (the obs flush-reason counters).
 enum class BatchFlushReason { kSize, kDeadline, kDrain };
-const char* BatchFlushReasonName(BatchFlushReason reason);
 
 // One queued query: the trajectory (copied — the batch outlives the
 // caller's stack frame), its top-k, its deadline, and the promise the
@@ -79,11 +76,12 @@ FlushDecision DecideFlush(size_t pending, double oldest_age_seconds,
                           const MicroBatcherConfig& config, bool draining);
 
 // Coalesces concurrently submitted queries into bounded batches: Submit
-// enqueues into a bounded queue; a dedicated dispatcher thread closes
-// batches under the cutoffs above and hands each one to `processor`
-// (which owns fulfilling every member's promise). Destruction drains —
-// every request that was ever accepted still reaches the processor, as a
-// kDrain batch — then joins the dispatcher. Thread-safe.
+// enqueues; a dedicated dispatcher thread closes batches under the
+// cutoffs above and hands each one to `processor` (which owns fulfilling
+// every member's promise). The queue has no bound of its own: the owner
+// bounds what it submits (SimilarityServer admits every request first).
+// Destruction drains — every submitted request still reaches the
+// processor, as a kDrain batch — then joins the dispatcher. Thread-safe.
 class MicroBatcher {
  public:
   using BatchProcessor =
@@ -95,13 +93,8 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  // Enqueues a request. On a full queue (or during shutdown) the request
-  // is shed: its promise is fulfilled with the same kResourceExhausted
-  // status that is returned, so the caller can release its admission slot
-  // while any future it already handed out still resolves.
-  common::Status Submit(BatchRequest request);
-
-  size_t queue_depth() const;
+  // Enqueues a request. Must not race destruction.
+  void Submit(BatchRequest request);
 
  private:
   void DispatcherLoop();
@@ -110,7 +103,7 @@ class MicroBatcher {
   const MicroBatcherConfig config_;
   const BatchProcessor processor_;
 
-  mutable common::Mutex mu_;
+  common::Mutex mu_;
   std::condition_variable cv_;
   std::deque<BatchRequest> queue_ TMN_GUARDED_BY(mu_);
   bool stop_ TMN_GUARDED_BY(mu_) = false;

@@ -40,6 +40,30 @@ common::Status ValidateQuery(const geo::Trajectory& query, size_t k) {
   return common::Status::Ok();
 }
 
+// Takes an admission slot, or sheds the query (reject-newest).
+common::Status Admit(Admission& admission) {
+  static obs::Counter& accepted = ServeCounter("tmn.serve.accepted");
+  static obs::Counter& shed = ServeCounter("tmn.serve.shed");
+  if (!admission.TryEnter()) {
+    shed.Increment();
+    return common::ResourceExhaustedError(
+        "load shed: " + std::to_string(admission.capacity()) +
+        " queries already in flight");
+  }
+  accepted.Increment();
+  return common::Status::Ok();
+}
+
+// The caller's deadline, or the default budget when it brought none.
+common::Deadline Budget(const common::Deadline& deadline,
+                        const ServerConfig& config) {
+  if (deadline.infinite() && config.default_deadline_seconds > 0) {
+    return common::Deadline::AfterSeconds(config.default_deadline_seconds,
+                                          config.clock);
+  }
+  return deadline;
+}
+
 // RAII release of an admission slot.
 struct AdmissionGuard {
   explicit AdmissionGuard(Admission& admission) : admission(admission) {}
@@ -155,10 +179,6 @@ SimilarityServer::~SimilarityServer() {
   // pool — they hold `this`.
   batcher_.reset();
   inflight_batches_.WaitForZero();
-  // Stop the compaction daemon last, after all query traffic has
-  // drained; config_'s index handles (which the daemon mutates) are
-  // still alive here and outlive it.
-  if (compactor_ != nullptr) compactor_->Stop();
 }
 
 common::StatusOr<std::unique_ptr<SimilarityServer>> SimilarityServer::Create(
@@ -197,14 +217,6 @@ common::StatusOr<std::unique_ptr<SimilarityServer>> SimilarityServer::Create(
         " does not match sketch width " +
         std::to_string(2 * config.sketch_points));
   }
-  if (config.enable_compaction &&
-      config.compaction_index.get() != config.segmented_index.get()) {
-    // Includes compaction_index == nullptr: compacting an index the
-    // server is not serving from would silently daemon-ize a stranger.
-    return common::InvalidArgumentError(
-        "enable_compaction requires compaction_index to be the served "
-        "segmented_index");
-  }
   for (size_t i = 0; i < database.size(); ++i) {
     if (database[i].empty()) {
       return common::InvalidArgumentError("database trajectory " +
@@ -225,10 +237,7 @@ common::StatusOr<std::unique_ptr<SimilarityServer>> SimilarityServer::Create(
 
   // Tier 1: pre-embed the database. Any failure leaves the server up but
   // degraded; the cause stays readable through model_status().
-  if (!config.enable_embedding_tier) {
-    server->model_status_ = common::FailedPreconditionError(
-        "embedding tier disabled by config");
-  } else if (server->model_ == nullptr) {
+  if (server->model_ == nullptr) {
     server->model_status_ = common::FailedPreconditionError(
         "no model provided; serving from exact tiers");
   } else if (server->model_->IsPairwise()) {
@@ -285,15 +294,6 @@ common::StatusOr<std::unique_ptr<SimilarityServer>> SimilarityServer::Create(
     for (const std::vector<float>& s : sketches) {
       server->feature_index_->Add(s);
     }
-  }
-
-  // The compaction daemon comes up last, once the server is fully
-  // serviceable: from here on the index keeps reshaping itself under
-  // live queries until the destructor stops the daemon.
-  if (config.enable_compaction) {
-    server->compactor_ = std::make_unique<index::Compactor>(
-        config.compaction_index.get(), config.compaction);
-    server->compactor_->Start();
   }
 
   return server;
@@ -533,97 +533,33 @@ common::StatusOr<QueryResult> SimilarityServer::RankExact(
   return result;
 }
 
-common::StatusOr<QueryResult> SimilarityServer::ServeOne(
+// ---------------------------------------------------------------------
+// Entry points. Both take a slot of the one admission bound before any
+// work, and hold it until the query's answer is decided.
+
+common::StatusOr<QueryResult> SimilarityServer::TopK(
     const geo::Trajectory& query, size_t k,
     const common::Deadline& deadline) const {
-  std::vector<Member> one = {Member(&query, k, deadline)};
+  TMN_RETURN_IF_ERROR(Admit(admission_));
+  AdmissionGuard guard(admission_);
+  std::vector<Member> one = {Member(&query, k, Budget(deadline, config_))};
   EncodeStage(one);
   SearchStage(one);
   return FinishLadder(one[0]);
 }
 
-// ---------------------------------------------------------------------
-// Entry points.
-
-common::StatusOr<QueryResult> SimilarityServer::TopK(
-    const geo::Trajectory& query, size_t k,
-    const common::Deadline& deadline) const {
-  static obs::Counter& accepted = ServeCounter("tmn.serve.accepted");
-  static obs::Counter& shed = ServeCounter("tmn.serve.shed");
-  if (!admission_.TryEnter()) {
-    shed.Increment();
-    return common::ResourceExhaustedError(
-        "load shed: " + std::to_string(admission_.capacity()) +
-        " queries already in flight");
-  }
-  accepted.Increment();
-  AdmissionGuard guard(admission_);
-  common::Deadline budget = deadline;
-  if (budget.infinite() && config_.default_deadline_seconds > 0) {
-    budget = common::Deadline::AfterSeconds(config_.default_deadline_seconds,
-                                            config_.clock);
-  }
-  return ServeOne(query, k, budget);
-}
-
-std::vector<common::StatusOr<QueryResult>> SimilarityServer::TopKBatch(
-    const std::vector<geo::Trajectory>& queries, size_t k,
-    int max_parallelism) const {
-  static obs::Counter& accepted = ServeCounter("tmn.serve.accepted");
-  static obs::Counter& shed = ServeCounter("tmn.serve.shed");
-  // Admission is decided up front by arrival order — the first
-  // queue_capacity queries are admitted, the rest shed — so the shed set
-  // is a function of the batch alone, never of worker scheduling.
-  const size_t admitted = std::min(queries.size(), config_.queue_capacity);
-  accepted.Increment(admitted);
-  shed.Increment(queries.size() - admitted);
-  std::vector<common::StatusOr<QueryResult>> results(
-      queries.size(),
-      common::StatusOr<QueryResult>(common::ResourceExhaustedError(
-          "load shed: batch position past queue capacity " +
-          std::to_string(config_.queue_capacity))));
-  common::ParallelFor(
-      0, admitted,
-      [&](size_t i) {
-        common::Deadline budget;
-        if (config_.default_deadline_seconds > 0) {
-          budget = common::Deadline::AfterSeconds(
-              config_.default_deadline_seconds, config_.clock);
-        }
-        results[i] = ServeOne(queries[i], k, budget);
-      },
-      max_parallelism);
-  return results;
-}
-
 common::StatusOr<std::future<common::StatusOr<QueryResult>>>
 SimilarityServer::SubmitTopK(const geo::Trajectory& query, size_t k,
                              const common::Deadline& deadline) const {
-  static obs::Counter& accepted = ServeCounter("tmn.serve.accepted");
-  static obs::Counter& shed = ServeCounter("tmn.serve.shed");
-  if (!admission_.TryEnter()) {
-    shed.Increment();
-    return common::ResourceExhaustedError(
-        "load shed: " + std::to_string(admission_.capacity()) +
-        " queries already in flight");
-  }
+  // The slot is released by ProcessBatch once the future is fulfilled.
+  TMN_RETURN_IF_ERROR(Admit(admission_));
   BatchRequest request;
   request.query = query;  // Copied: the batch outlives the caller's frame.
   request.k = k;
-  request.deadline = deadline;
-  if (request.deadline.infinite() && config_.default_deadline_seconds > 0) {
-    request.deadline = common::Deadline::AfterSeconds(
-        config_.default_deadline_seconds, config_.clock);
-  }
+  request.deadline = Budget(deadline, config_);
   std::future<common::StatusOr<QueryResult>> future =
       request.promise.get_future();
-  const common::Status submitted = batcher_->Submit(std::move(request));
-  if (!submitted.ok()) {
-    admission_.Exit();
-    shed.Increment();
-    return submitted;
-  }
-  accepted.Increment();
+  batcher_->Submit(std::move(request));
   return future;
 }
 

@@ -12,7 +12,6 @@
 #include "distance/metric.h"
 #include "geo/trajectory.h"
 #include "index/hnsw.h"
-#include "index/segmented/compactor.h"
 #include "index/segmented/segmented_index.h"
 #include "serve/admission.h"
 #include "serve/circuit_breaker.h"
@@ -22,8 +21,9 @@
 namespace tmn::serve {
 
 struct ServerConfig {
-  // Admission: max queries in flight; arrivals above this are shed with
-  // kResourceExhausted (reject-newest).
+  // Admission: max queries in flight, TopK and SubmitTopK together (a
+  // submitted query is in flight until its future resolves); arrivals
+  // above this are shed with kResourceExhausted (reject-newest).
   size_t queue_capacity = 64;
   // Per-query time budget when the caller passes no deadline; <= 0 means
   // queries without an explicit deadline run unbounded.
@@ -46,33 +46,24 @@ struct ServerConfig {
   // fallback cost is bounded even for huge databases. A scan cut short by
   // this cap returns a `partial` response.
   size_t max_brute_force = 4096;
-  // Tier toggles, mainly for benches that want to time one tier.
-  bool enable_embedding_tier = true;
+  // Takes tier 2 down, so tests and benches can reach the tiers below it.
+  // (A null model takes tier 1 down.)
   bool enable_rerank_tier = true;
   // Optional crash-safe segmented tier (docs/INDEXING.md), tried between
   // tier 2 and the brute-force floor. The index must hold sketch vectors
   // (dim == 2 * sketch_points) whose ids are database positions; Create
   // rejects a dimension mismatch. Shared, not owned: the caller keeps it
-  // alive and may keep appending through its own non-const handle while
-  // the server queries — SegmentedIndex is internally synchronized
-  // (appends take its writer lock, queries its reader lock), so live
-  // ingest never races the worker threads. Like tier 2 it is model-free,
-  // so it keeps answering when the model is down; unlike tier 2 it may
-  // return `partial` results instead of failing when segments are
-  // quarantined or over budget.
+  // alive and may keep appending, or run an index::Compactor, through its
+  // own non-const handle while the server queries — SegmentedIndex is
+  // internally synchronized (appends and the compaction swap take its
+  // writer lock, queries its reader lock), so live ingest never races the
+  // worker threads. Like tier 2 it is model-free, so it keeps answering
+  // when the model is down; unlike tier 2 it may return `partial` results
+  // instead of failing when segments are quarantined or over budget.
   std::shared_ptr<const index::SegmentedIndex> segmented_index;
-  // Background compaction over `segmented_index` (docs/INDEXING.md).
-  // When enabled, the server owns the daemon's lifecycle: Create starts
-  // it, destruction stops and joins it, so a served index never outlives
-  // its compactor. Compaction needs the mutation rights the const
-  // serving handle above deliberately lacks, so the caller passes the
-  // same index again through this non-const handle; Create rejects
-  // enable_compaction with a missing or different index.
-  bool enable_compaction = false;
-  std::shared_ptr<index::SegmentedIndex> compaction_index;
-  index::CompactorOptions compaction;
   // Micro-batching cutoffs for SubmitTopK (docs/SERVING.md). The batcher
-  // clock defaults to `clock` above when unset.
+  // clock defaults to `clock` above when unset. The batcher has no bound
+  // of its own: every queued query holds an admission slot.
   MicroBatcherConfig batching;
 };
 
@@ -83,8 +74,8 @@ struct ServerConfig {
 // a model-free candidate pool, the optional segmented index, bounded
 // exact scan — until one tier answers. A circuit breaker around model
 // inference turns a failing model into a fast, deterministic skip of
-// tier 1 instead of a per-query failure. Thread-safe: TopK may be called
-// concurrently.
+// tier 1 instead of a per-query failure. Thread-safe: TopK and SubmitTopK
+// may be called concurrently, and both count against one admission bound.
 class SimilarityServer {
  public:
   // Builds a server over `database`. `model` may be null (or pairwise):
@@ -119,12 +110,12 @@ class SimilarityServer {
       const common::Deadline& deadline = common::Deadline()) const;
 
   // Micro-batched TopK: the query is admitted (same shedding and default-
-  // deadline rules as TopK), copied into the batcher's bounded queue, and
-  // answered by TopK's own stages, run over the shared pool on a whole
-  // micro-batch; the result — including every non-OK status TopK
-  // documents — arrives through the returned future. A non-OK return
-  // means the query was shed before enqueue (admission or batcher queue
-  // full) and no work remains in flight. The result for any query is
+  // deadline rules as TopK; it holds its slot until its future resolves),
+  // copied into the batcher's queue, and answered by TopK's own stages,
+  // run over the shared pool on a whole micro-batch; the result —
+  // including every non-OK status TopK documents — arrives through the
+  // returned future. A non-OK return means the query was shed at
+  // admission and no work remains in flight. The result for any query is
   // bitwise identical to what a serial TopK with the same deadline would
   // produce, at every batch cutoff and thread count: batching is a
   // throughput detail, never a semantic one. Do not block on the future
@@ -133,14 +124,6 @@ class SimilarityServer {
   common::StatusOr<std::future<common::StatusOr<QueryResult>>> SubmitTopK(
       const geo::Trajectory& query, size_t k,
       const common::Deadline& deadline = common::Deadline()) const;
-
-  // Serves a batch. Admission is decided up front in arrival order — the
-  // first queue_capacity queries are admitted, the rest shed — so the
-  // outcome is identical for every max_parallelism (<= 0: default pool
-  // width; 1: sequential).
-  std::vector<common::StatusOr<QueryResult>> TopKBatch(
-      const std::vector<geo::Trajectory>& queries, size_t k,
-      int max_parallelism = 0) const;
 
   size_t size() const { return database_.size(); }
 
@@ -176,9 +159,9 @@ class SimilarityServer {
   struct Candidates;
 
   // The serving pipeline (docs/SERVING.md): three synchronous stages over
-  // a batch of members. TopK and TopKBatch run them inline on a batch of
-  // one (ServeOne); SubmitTopK chains them over the shared ThreadPool on
-  // each closed micro-batch. Both paths run the same code, which is what
+  // a batch of members. TopK runs them inline on a batch of one;
+  // SubmitTopK chains them over the shared ThreadPool on each closed
+  // micro-batch. Both paths run the same code, which is what
   // makes their answers bitwise identical.
   //
   // Stage 1: validation, the 'admission' deadline check, the breaker gate
@@ -190,9 +173,6 @@ class SimilarityServer {
   // candidate pool for RankExact, until one tier answers or a deadline
   // expiry ends the query.
   common::StatusOr<QueryResult> FinishLadder(Member& member) const;
-  common::StatusOr<QueryResult> ServeOne(
-      const geo::Trajectory& query, size_t k,
-      const common::Deadline& deadline) const;
 
   bool TierAvailable(ServeTier tier) const;
   // The ids `tier` proposes for `member`: tier 1's from stages 1-2, a
@@ -235,10 +215,6 @@ class SimilarityServer {
   // Tier 2 state: model-free sketch index.
   std::unique_ptr<index::HnswIndex> feature_index_;
   common::Status feature_status_ = common::Status::Ok();
-
-  // The optional compaction daemon over config_.compaction_index. The
-  // destructor stops it before the index handles in config_ can go away.
-  std::unique_ptr<index::Compactor> compactor_;
 
   // In-flight batch accounting so destruction can wait for pipeline
   // stages that still hold `this`.

@@ -1411,8 +1411,8 @@ std::vector<geo::Trajectory> ServeDatabase(int n) {
 
 // Builds a segmented index holding the database's sketch vectors, keyed
 // by database position — the contract the serve tier expects. Returned
-// non-const so compaction tests can pass it back through
-// ServerConfig::compaction_index; the const serving handle converts.
+// non-const so a test can compact it while a server holds the const
+// serving handle, which converts.
 std::shared_ptr<SegmentedIndex> BuildSketchIndex(
     const std::string& dir, const std::vector<geo::Trajectory>& database,
     size_t sketch_points, size_t capacity) {
@@ -1434,7 +1434,6 @@ std::shared_ptr<SegmentedIndex> BuildSketchIndex(
 serve::ServerConfig SegmentedOnlyConfig(
     std::shared_ptr<const SegmentedIndex> index) {
   serve::ServerConfig config;
-  config.enable_embedding_tier = false;
   config.enable_rerank_tier = false;
   config.segmented_index = std::move(index);
   return config;
@@ -1526,31 +1525,7 @@ TEST(SegmentedServeTest, DimensionMismatchIsRejectedAtCreate) {
   EXPECT_EQ(server.status().code(), common::StatusCode::kInvalidArgument);
 }
 
-TEST(SegmentedServeTest, EnableCompactionRequiresTheServedIndex) {
-  const std::string dir = ScratchDir("serve_compact_reject");
-  const std::string other_dir = ScratchDir("serve_compact_reject_other");
-  auto database = ServeDatabase(8);
-  auto index =
-      BuildSketchIndex(dir, database, /*sketch_points=*/8, /*capacity=*/8);
-
-  // Compaction on with no mutable handle at all.
-  serve::ServerConfig config = SegmentedOnlyConfig(index);
-  config.enable_compaction = true;
-  auto server = serve::SimilarityServer::Create(
-      config, database, dist::CreateMetric(dist::MetricType::kDtw), nullptr);
-  EXPECT_EQ(server.status().code(), common::StatusCode::kInvalidArgument);
-
-  // A mutable handle to a *different* index: compacting one index while
-  // serving another is a caller bug, not a silent misconfiguration.
-  config.compaction_index = BuildSketchIndex(other_dir, database,
-                                             /*sketch_points=*/8,
-                                             /*capacity=*/8);
-  server = serve::SimilarityServer::Create(
-      config, database, dist::CreateMetric(dist::MetricType::kDtw), nullptr);
-  EXPECT_EQ(server.status().code(), common::StatusCode::kInvalidArgument);
-}
-
-TEST(SegmentedServeTest, ServerOwnedCompactionDaemonKeepsAnswersExact) {
+TEST(SegmentedServeTest, CallerOwnedCompactorKeepsServedAnswersExact) {
   const std::string dir = ScratchDir("serve_compact_daemon");
   auto database = ServeDatabase(24);
   // Capacity 4 -> 6 small segments, all compactable.
@@ -1560,12 +1535,9 @@ TEST(SegmentedServeTest, ServerOwnedCompactionDaemonKeepsAnswersExact) {
 
   serve::ServerConfig config = SegmentedOnlyConfig(index);
   config.rerank_candidates = database.size();
-  config.enable_compaction = true;
-  config.compaction_index = index;
-  config.compaction.policy.min_inputs = 2;
-  config.compaction.policy.max_inputs = 8;
-  config.compaction.backoff.initial_seconds = 0.0005;
-  config.compaction.backoff.max_seconds = 0.005;
+  auto server = serve::SimilarityServer::Create(
+      config, database, dist::CreateMetric(dist::MetricType::kDtw), nullptr);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   auto metric = dist::CreateMetric(dist::MetricType::kDtw);
   const geo::Trajectory query = database[5];
@@ -1574,33 +1546,37 @@ TEST(SegmentedServeTest, ServerOwnedCompactionDaemonKeepsAnswersExact) {
     expected.emplace_back(metric->Compute(query, database[i]), i);
   }
   std::sort(expected.begin(), expected.end());
-
-  {
-    auto server = serve::SimilarityServer::Create(
-        config, database, dist::CreateMetric(dist::MetricType::kDtw),
-        nullptr);
-    ASSERT_TRUE(server.ok()) << server.status().ToString();
-    // Queries stay exact while the daemon rewrites segments under them.
-    for (int round = 0; round < 20; ++round) {
-      const auto result = server.value()->TopK(query, 4);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(result.value().tier, serve::ServeTier::kSegmented);
-      EXPECT_FALSE(result.value().partial);
-      ASSERT_EQ(result.value().indices.size(), 4u);
-      for (size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(result.value().indices[i], expected[i].second);
-        EXPECT_EQ(result.value().distances[i], expected[i].first);
-      }
+  auto expect_exact = [&] {
+    const auto result = server.value()->TopK(query, 4);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().tier, serve::ServeTier::kSegmented);
+    EXPECT_FALSE(result.value().partial);
+    ASSERT_EQ(result.value().indices.size(), 4u);
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(result.value().indices[i], expected[i].second);
+      EXPECT_EQ(result.value().distances[i], expected[i].first);
     }
-    EXPECT_TRUE(WaitUntil([&] { return index->segment_count() == 1; }, 30.0));
-    // Server destruction stops and joins the daemon before the config's
-    // index handles die.
-  }
+  };
+
+  // The caller holds the mutable handle, so it runs the compactor beside
+  // the server; queries stay exact while segments are rewritten under
+  // them.
+  CompactorOptions options;
+  options.policy.min_inputs = 2;
+  options.policy.max_inputs = 8;
+  options.backoff.initial_seconds = 0.0005;
+  options.backoff.max_seconds = 0.005;
+  Compactor compactor(index.get(), options);
+  compactor.Start();
+  EXPECT_TRUE(WaitUntil(
+      [&] {
+        expect_exact();
+        return HasFailure() || index->segment_count() == 1;
+      },
+      30.0));
+  compactor.Stop();
   EXPECT_EQ(index->segment_count(), 1u);
-  const auto after = index->SearchTopK(
-      serve::SimilarityServer::SketchTrajectory(query, 8), 4);
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after.value().partial);
+  expect_exact();
 }
 
 }  // namespace

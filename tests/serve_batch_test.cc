@@ -1,6 +1,6 @@
 // Micro-batching tests (src/serve/micro_batcher.h, docs/SERVING.md):
 // the pure flush policy, deadline- and linger-triggered flushes under
-// fake clocks, queue shedding, drain-on-destruction, circuit-breaker
+// fake clocks, admission shedding, drain-on-destruction, circuit-breaker
 // accounting for expired batch members, and — the load-bearing contract —
 // bitwise identity between SubmitTopK and the serial TopK path at every
 // batch cutoff and submitter count. Runs in every build flavor, including
@@ -187,7 +187,7 @@ TEST(MicroBatcherTest, SizeFlushFormsFullBatches) {
     BatchRequest request;
     request.k = 1;
     futures.push_back(request.promise.get_future());
-    ASSERT_TRUE(batcher.Submit(std::move(request)).ok());
+    batcher.Submit(std::move(request));
   }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   {
@@ -200,48 +200,6 @@ TEST(MicroBatcherTest, SizeFlushFormsFullBatches) {
     EXPECT_EQ(total, 8u);
   }
   EXPECT_GE(CounterValue("tmn.serve.batch.flush_size"), size_before + 2);
-}
-
-TEST(MicroBatcherTest, QueueFullShedsAndFulfillsThePromise) {
-  const uint64_t shed_before =
-      CounterValue("tmn.serve.batch.shed_queue_full");
-  g_fake_now = 0.0;  // Frozen batcher clock: the linger timer never fires.
-  MicroBatcherConfig config;
-  config.max_batch_size = 100;
-  config.queue_capacity = 2;
-  config.max_linger_seconds = 1000.0;
-  config.flush_slack_seconds = 0.0;
-  config.clock = &FakeClock;
-  std::vector<std::future<common::StatusOr<QueryResult>>> futures;
-  {
-    MicroBatcher batcher(config, [](std::vector<BatchRequest> batch,
-                                    BatchFlushReason reason) {
-      EXPECT_EQ(reason, BatchFlushReason::kDrain);
-      for (BatchRequest& r : batch) {
-        r.promise.set_value(common::StatusOr<QueryResult>(QueryResult{}));
-      }
-    });
-    for (int i = 0; i < 3; ++i) {
-      BatchRequest request;
-      request.k = 1;
-      futures.push_back(request.promise.get_future());
-      const common::Status s = batcher.Submit(std::move(request));
-      if (i < 2) {
-        EXPECT_TRUE(s.ok()) << s.ToString();
-      } else {
-        EXPECT_EQ(s.code(), common::StatusCode::kResourceExhausted);
-      }
-    }
-    EXPECT_EQ(batcher.queue_depth(), 2u);
-    // Destruction drains the two queued requests through the processor.
-  }
-  EXPECT_TRUE(futures[0].get().ok());
-  EXPECT_TRUE(futures[1].get().ok());
-  // The shed request's promise resolved with the same status Submit
-  // returned — no caller is left holding a broken future.
-  EXPECT_EQ(futures[2].get().status().code(),
-            common::StatusCode::kResourceExhausted);
-  EXPECT_EQ(CounterValue("tmn.serve.batch.shed_queue_full"), shed_before + 1);
 }
 
 TEST(MicroBatcherTest, FakeClockDeadlineSlackTriggersFlush) {
@@ -271,7 +229,7 @@ TEST(MicroBatcherTest, FakeClockDeadlineSlackTriggersFlush) {
   request.k = 1;
   request.deadline = common::Deadline::AfterSeconds(10.0, &FakeClock);
   auto future = request.promise.get_future();
-  ASSERT_TRUE(batcher.Submit(std::move(request)).ok());
+  batcher.Submit(std::move(request));
   // Slack 10s > flush budget 1s: the batch must stay open while the
   // dispatcher re-polls (real time passes; the fake clock is frozen).
   EXPECT_EQ(future.wait_for(std::chrono::milliseconds(20)),
@@ -310,7 +268,7 @@ TEST(MicroBatcherTest, FakeClockLingerTriggersFlush) {
   BatchRequest request;  // No deadline: only the linger timer applies.
   request.k = 1;
   auto future = request.promise.get_future();
-  ASSERT_TRUE(batcher.Submit(std::move(request)).ok());
+  batcher.Submit(std::move(request));
   EXPECT_EQ(future.wait_for(std::chrono::milliseconds(20)),
             std::future_status::timeout);
   g_fake_now = 2.5;  // Oldest member has now lingered past the cap.
@@ -509,7 +467,7 @@ TEST(ServeBatchDeadlineTest, BatcherQueueFullShedsAtSubmit) {
   g_fake_now = 0.0;
   const auto db = TestDatabase(8, 13);
   ServerConfig config = BatchConfig(100);
-  config.batching.queue_capacity = 2;
+  config.queue_capacity = 2;  // The two parked queries hold every slot.
   config.batching.max_linger_seconds = 1000.0;
   config.batching.flush_slack_seconds = 0.0;
   config.batching.clock = &FakeClock;  // Frozen: no flush while testing.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -398,7 +399,6 @@ TEST(SimilarityServerTest, RerankTierIsExactWhenThePoolCoversTheDatabase) {
 
 TEST(SimilarityServerTest, BruteForceTierMatchesTheExactReference) {
   ServerConfig config;
-  config.enable_embedding_tier = false;
   config.enable_rerank_tier = false;
   auto db = TestDatabase(16, 7);
   db.push_back(db[3]);  // A second zero-distance hit, at id 16.
@@ -428,7 +428,6 @@ TEST(SimilarityServerTest, BruteForceTierMatchesTheExactReference) {
 
 TEST(SimilarityServerTest, BruteForceScanIsBounded) {
   ServerConfig config;
-  config.enable_embedding_tier = false;
   config.enable_rerank_tier = false;
   config.max_brute_force = 4;  // Only the first 4 entries are eligible.
   const auto db = TestDatabase(12, 8);
@@ -450,26 +449,39 @@ TEST(SimilarityServerTest, BruteForceScanIsBounded) {
 // ---------------------------------------------------------------------
 // Load shedding.
 
-TEST(SimilarityServerTest, BatchShedsDeterministicallyAboveCapacity) {
-  ServerConfig config;
+TEST(SimilarityServerTest, AdmissionBoundsBothEntryPointsTogether) {
+  // A batcher that cannot flush before destruction: every submitted query
+  // stays parked, holding its admission slot.
+  ServerConfig config = FastConfig();
   config.queue_capacity = 4;
-  config.rerank_candidates = 8;
+  config.batching.max_batch_size = 100;
+  config.batching.max_linger_seconds = 1000.0;
+  config.batching.flush_slack_seconds = 0.0;
   const auto db = TestDatabase(8, 9);
   auto server = SimilarityServer::Create(
       config, db, dist::CreateMetric(dist::MetricType::kHausdorff), nullptr);
   ASSERT_TRUE(server.ok());
-  std::vector<geo::Trajectory> queries(db.begin(), db.begin() + 7);
-  for (int parallelism : {1, 4}) {
-    const auto results = server.value()->TopKBatch(queries, 3, parallelism);
-    ASSERT_EQ(results.size(), 7u);
-    for (size_t i = 0; i < 4; ++i) {
-      EXPECT_TRUE(results[i].ok()) << "query " << i;
-    }
-    for (size_t i = 4; i < 7; ++i) {
-      EXPECT_EQ(results[i].status().code(),
+  // Reject-newest: exactly the first queue_capacity queries are admitted.
+  std::vector<std::future<common::StatusOr<QueryResult>>> admitted;
+  for (size_t i = 0; i < 7; ++i) {
+    auto submitted = server.value()->SubmitTopK(db[i], 3);
+    if (i < 4) {
+      ASSERT_TRUE(submitted.ok()) << "query " << i;
+      admitted.push_back(std::move(submitted.value()));
+    } else {
+      EXPECT_EQ(submitted.status().code(),
                 common::StatusCode::kResourceExhausted)
           << "query " << i;
     }
+  }
+  // The serial entry point counts against the same bound.
+  EXPECT_EQ(server.value()->TopK(db[0], 3).status().code(),
+            common::StatusCode::kResourceExhausted);
+  server.value().reset();  // Drain: every admitted query gets its answer.
+  for (size_t i = 0; i < admitted.size(); ++i) {
+    const common::StatusOr<QueryResult> r = admitted[i].get();
+    ASSERT_TRUE(r.ok()) << "query " << i << ": " << r.status().ToString();
+    EXPECT_EQ(r.value().tier, ServeTier::kExactRerank);
   }
 }
 
