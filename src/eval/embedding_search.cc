@@ -110,34 +110,9 @@ common::StatusOr<std::vector<size_t>> EmbeddingSearch::NearestChecked(
     }
   }
   TMN_RETURN_IF_ERROR(common::CheckDeadline(deadline, "index-search"));
-  // The scan is linear, so run it in blocks and poll the deadline between
-  // blocks, the same way the HNSW walk polls between expansions. The
-  // partial heaps merge through std::partial_sort at the end.
-  constexpr size_t kBlock = 256;
-  std::vector<std::pair<float, size_t>> best;
-  for (size_t start = 0; start < count_; start += kBlock) {
-    if (start != 0 && deadline.Expired()) {
-      return common::DeadlineExceededError(
-          "deadline expired at stage 'index-search' (brute-force scan)");
-    }
-    const size_t end = std::min(count_, start + kBlock);
-    const std::vector<float> block(flat_.begin() + start * dim_,
-                                   flat_.begin() + end * dim_);
-    for (size_t local : index::BruteForceNearest(block, dim_, query, k)) {
-      const size_t i = start + local;
-      float d = 0.0f;
-      for (size_t j = 0; j < dim_; ++j) {
-        const float diff = flat_[i * dim_ + j] - query[j];
-        d += diff * diff;
-      }
-      best.emplace_back(d, i);
-    }
-  }
-  const size_t take = std::min(k, best.size());
-  std::partial_sort(best.begin(), best.begin() + take, best.end());
-  std::vector<size_t> result(take);
-  for (size_t i = 0; i < take; ++i) result[i] = best[i].second;
-  return result;
+  // The scan is linear, so it polls the deadline between blocks of rows,
+  // the same way the HNSW walk polls between expansions.
+  return index::BruteForceNearestChecked(flat_, dim_, query, k, deadline);
 }
 
 std::vector<size_t> EmbeddingSearch::NearestToStored(size_t i,

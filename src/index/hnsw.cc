@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/failpoint.h"
+#include "nn/kernels/kernels.h"
 #include "obs/metrics.h"
 
 namespace tmn::index {
@@ -20,6 +20,40 @@ struct Farther {
   }
 };
 
+// Per-thread scratch of the graph walk. A const index is searched from
+// many pool threads at once (SubmitTopK), so none of this is index state.
+// `marks` is the visited set of the current layer search: id i is visited
+// when marks[i] == generation. Each search bumps the generation instead of
+// clearing, and a wrap to 0 clears the marks once so a stale mark can
+// never equal a live generation. The array grows to the largest index the
+// thread has searched.
+struct WalkScratch {
+  std::vector<uint32_t> marks;
+  uint32_t generation = 0;
+  std::vector<uint32_t> fresh;  // One expansion's unvisited neighbours.
+  std::vector<const float*> rows;  // Score's row pointers.
+  std::vector<float> dists;
+
+  void BeginVisit(size_t count) {
+    if (marks.size() < count) marks.resize(count, 0);
+    if (++generation == 0) {
+      std::fill(marks.begin(), marks.end(), 0);
+      generation = 1;
+    }
+  }
+  // Marks `id` visited; false when it already was.
+  bool Visit(uint32_t id) {
+    if (marks[id] == generation) return false;
+    marks[id] = generation;
+    return true;
+  }
+};
+
+WalkScratch& Scratch() {
+  thread_local WalkScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 HnswIndex::HnswIndex(size_t dim, const HnswConfig& config)
@@ -32,31 +66,37 @@ HnswIndex::HnswIndex(size_t dim, const HnswConfig& config)
   TMN_CHECK(config_.m >= 2);
 }
 
-float HnswIndex::Distance(const float* a, const float* b) const {
-  float total = 0.0f;
-  for (size_t i = 0; i < dim_; ++i) {
-    const float d = a[i] - b[i];
-    total += d * d;
-  }
-  return total;
+void HnswIndex::Score(const float* query, const uint32_t* ids, size_t n,
+                      float* dists) const {
+  std::vector<const float*>& rows = Scratch().rows;
+  rows.resize(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = PointAt(ids[i]);
+  nn::kernels::Active().l2sq_rows(rows.data(), n, query, dim_, dists);
 }
 
 size_t HnswIndex::GreedyDescend(const std::vector<float>& query,
                                 size_t entry, int from_level,
                                 int target_level,
                                 common::DeadlinePoller* poller) const {
-  size_t current = entry;
-  float current_dist = Distance(query.data(), PointAt(current));
+  std::vector<float>& dists = Scratch().dists;
+  uint32_t current = static_cast<uint32_t>(entry);
+  float current_dist = 0.0f;
+  Score(query.data(), &current, 1, &current_dist);
   for (int level = from_level; level > target_level; --level) {
     bool improved = true;
     while (improved) {
       if (poller != nullptr && poller->Tick()) return current;
       improved = false;
-      for (uint32_t neighbor : nodes_[current].neighbors[level]) {
-        const float d = Distance(query.data(), PointAt(neighbor));
-        if (d < current_dist) {
-          current_dist = d;
-          current = neighbor;
+      // The sweep takes the list of the node it started from, scored in
+      // one call, even after `current` moves on.
+      const std::vector<uint32_t>& neighbors =
+          nodes_[current].neighbors[level];
+      dists.resize(neighbors.size());
+      Score(query.data(), neighbors.data(), neighbors.size(), dists.data());
+      for (size_t i = 0; i < neighbors.size(); ++i) {
+        if (dists[i] < current_dist) {
+          current_dist = dists[i];
+          current = neighbors[i];
           improved = true;
         }
       }
@@ -70,24 +110,38 @@ std::vector<Candidate> HnswIndex::SearchLayer(const std::vector<float>& query,
                                               int level,
                                               common::DeadlinePoller* poller)
     const {
-  std::unordered_set<uint32_t> visited;
+  WalkScratch& scratch = Scratch();
+  scratch.BeginVisit(count_);
+  std::vector<uint32_t>& fresh = scratch.fresh;
+  std::vector<float>& dists = scratch.dists;
   std::priority_queue<Candidate, std::vector<Candidate>, Farther> frontier;
   std::priority_queue<Candidate> best;  // Max-heap: worst of the ef best.
-  const float entry_dist = Distance(query.data(), PointAt(entry));
-  frontier.emplace(entry_dist, static_cast<uint32_t>(entry));
-  best.emplace(entry_dist, static_cast<uint32_t>(entry));
-  visited.insert(static_cast<uint32_t>(entry));
+  const uint32_t entry_id = static_cast<uint32_t>(entry);
+  float entry_dist = 0.0f;
+  Score(query.data(), &entry_id, 1, &entry_dist);
+  frontier.emplace(entry_dist, entry_id);
+  best.emplace(entry_dist, entry_id);
+  scratch.Visit(entry_id);
+  size_t visited = 1;
   while (!frontier.empty()) {
     if (poller != nullptr && poller->Tick()) break;
     const Candidate current = frontier.top();
     frontier.pop();
     if (current.first > best.top().first && best.size() >= ef) break;
+    // The unvisited neighbours in list order, scored in one call; the
+    // push/prune below then takes them in that order.
+    fresh.clear();
     for (uint32_t neighbor : nodes_[current.second].neighbors[level]) {
-      if (!visited.insert(neighbor).second) continue;
-      const float d = Distance(query.data(), PointAt(neighbor));
+      if (scratch.Visit(neighbor)) fresh.push_back(neighbor);
+    }
+    visited += fresh.size();
+    dists.resize(fresh.size());
+    Score(query.data(), fresh.data(), fresh.size(), dists.data());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      const float d = dists[i];
       if (best.size() < ef || d < best.top().first) {
-        frontier.emplace(d, neighbor);
-        best.emplace(d, neighbor);
+        frontier.emplace(d, fresh[i]);
+        best.emplace(d, fresh[i]);
         if (best.size() > ef) best.pop();
       }
     }
@@ -102,7 +156,7 @@ std::vector<Candidate> HnswIndex::SearchLayer(const std::vector<float>& query,
   // stable "search effort" measure a perf regression cannot hide from.
   static obs::Counter& visited_nodes = obs::Registry::Global().GetCounter(
       "tmn.index.hnsw.nodes_visited");
-  visited_nodes.Increment(visited.size());
+  visited_nodes.Increment(visited);
   return result;
 }
 
@@ -122,12 +176,14 @@ void HnswIndex::Connect(uint32_t node, int level,
     back.push_back(node);
     if (back.size() > max_degree) {
       // Drop the farthest neighbor of `neighbor`.
+      std::vector<float>& dists = Scratch().dists;
+      dists.resize(back.size());
+      Score(PointAt(neighbor), back.data(), back.size(), dists.data());
       size_t worst = 0;
       float worst_dist = -1.0f;
       for (size_t i = 0; i < back.size(); ++i) {
-        const float d = Distance(PointAt(neighbor), PointAt(back[i]));
-        if (d > worst_dist) {
-          worst_dist = d;
+        if (dists[i] > worst_dist) {
+          worst_dist = dists[i];
           worst = i;
         }
       }

@@ -17,8 +17,10 @@ namespace tmn::index {
 // ("state-of-the-art indexing techniques (e.g., HNSW) can be immediately
 // applied to the vectors of the embedded trajectories").
 //
-// Incremental insertion; squared-Euclidean distance. Single-threaded
-// (queries are thread-compatible once building is done).
+// Incremental insertion; squared-Euclidean distance through
+// kernels::l2sq_rows. Building is single-threaded; once built, queries
+// may run from many threads at once (the walk's visited marks and
+// distance buffers are per-thread scratch, not index state).
 struct HnswConfig {
   size_t m = 16;                // Max neighbors per node per layer (2m at layer 0).
   size_t ef_construction = 64;  // Beam width while inserting.
@@ -59,7 +61,10 @@ class HnswIndex {
     std::vector<std::vector<uint32_t>> neighbors;
   };
 
-  float Distance(const float* a, const float* b) const;
+  // dists[i] = squared L2 from `query` to point ids[i], for i < n, in one
+  // kernels::l2sq_rows call.
+  void Score(const float* query, const uint32_t* ids, size_t n,
+             float* dists) const;
   const float* PointAt(size_t i) const { return &points_[i * dim_]; }
 
   // Greedy descent to the closest node at layers above `target_level`.

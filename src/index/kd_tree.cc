@@ -7,19 +7,17 @@
 #include <utility>
 
 #include "common/check.h"
+#include "nn/kernels/kernels.h"
 #include "obs/metrics.h"
 
 namespace tmn::index {
 
 namespace {
 
-float SquaredDist(const float* a, const float* b, size_t dim) {
-  float total = 0.0f;
-  for (size_t i = 0; i < dim; ++i) {
-    const float d = a[i] - b[i];
-    total += d * d;
-  }
-  return total;
+float SquaredDist(const float* row, const float* query, size_t dim) {
+  float dist = 0.0f;
+  nn::kernels::Active().l2sq_rows(&row, 1, query, dim, &dist);
+  return dist;
 }
 
 // Max-heap of (distance, index) bounded at k elements.
@@ -156,20 +154,42 @@ std::vector<size_t> KdTree::Search(const std::vector<float>& query, size_t k,
   return DrainHeap(heap);
 }
 
-std::vector<size_t> BruteForceNearest(const std::vector<float>& points,
-                                      size_t dim,
-                                      const std::vector<float>& query,
-                                      size_t k) {
+common::StatusOr<std::vector<size_t>> BruteForceNearestChecked(
+    const std::vector<float>& points, size_t dim,
+    const std::vector<float>& query, size_t k,
+    const common::Deadline& deadline) {
   TMN_CHECK(dim > 0 && points.size() % dim == 0);
   TMN_CHECK(query.size() == dim);
   const size_t n = points.size() / dim;
   k = std::min(k, n);
+  if (k == 0) return std::vector<size_t>();
   BoundedHeap heap;
-  for (size_t i = 0; i < n; ++i) {
-    PushBounded(heap, k, SquaredDist(&points[i * dim], query.data(), dim),
-                i);
+  // Rows are scored a block at a time, then pushed in index order.
+  constexpr size_t kBlock = 256;
+  const float* rows[kBlock] = {};
+  float dists[kBlock] = {};
+  for (size_t start = 0; start < n; start += kBlock) {
+    if (start != 0 && deadline.Expired()) {
+      return common::DeadlineExceededError(
+          "deadline expired at stage 'index-search' (brute-force scan)");
+    }
+    const size_t count = std::min(kBlock, n - start);
+    for (size_t i = 0; i < count; ++i) rows[i] = &points[(start + i) * dim];
+    nn::kernels::Active().l2sq_rows(rows, count, query.data(), dim, dists);
+    for (size_t i = 0; i < count; ++i) {
+      PushBounded(heap, k, dists[i], start + i);
+    }
   }
   return DrainHeap(heap);
+}
+
+std::vector<size_t> BruteForceNearest(const std::vector<float>& points,
+                                      size_t dim,
+                                      const std::vector<float>& query,
+                                      size_t k) {
+  return std::move(
+      BruteForceNearestChecked(points, dim, query, k, common::Deadline())
+          .value());
 }
 
 }  // namespace tmn::index

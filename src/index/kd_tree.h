@@ -68,11 +68,21 @@ class KdTree {
 };
 
 // Brute-force exact kNN over the same layout; the reference implementation
-// the k-d tree is property-tested against.
+// the k-d tree is property-tested against. Rows are scored in blocks of
+// 256 through kernels::l2sq_rows; the result is the k smallest
+// (distance, index) pairs, nearest first.
 std::vector<size_t> BruteForceNearest(const std::vector<float>& points,
                                       size_t dim,
                                       const std::vector<float>& query,
                                       size_t k);
+
+// BruteForceNearest for the online query path: `deadline` is checked
+// between blocks, and an expiry returns kDeadlineExceeded. Input
+// validation is the caller's (EmbeddingSearch::NearestChecked).
+common::StatusOr<std::vector<size_t>> BruteForceNearestChecked(
+    const std::vector<float>& points, size_t dim,
+    const std::vector<float>& query, size_t k,
+    const common::Deadline& deadline);
 
 }  // namespace tmn::index
 

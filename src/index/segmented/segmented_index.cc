@@ -10,6 +10,7 @@
 #include "common/failpoint.h"
 #include "common/io_util.h"
 #include "common/thread_pool.h"
+#include "nn/kernels/kernels.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 
@@ -30,6 +31,9 @@ struct SegmentIndexMetrics {
   obs::Counter& wal_bytes_truncated;
   obs::Counter& quarantined;
   obs::Counter& partial_results;
+  // Vectors of the sources whose scan completed: a skipped or
+  // deadline-cut source adds nothing.
+  obs::Counter& vectors_scanned;
   // The formerly-silent self-healing paths: retries of a deferred WAL
   // tail repair / post-seal rotation, and GC removals that failed and
   // were left for a later pass. A counter that keeps climbing means the
@@ -53,6 +57,7 @@ struct SegmentIndexMetrics {
         reg.GetCounter("tmn.index.segment.quarantined"),
         reg.GetCounter("tmn.index.segment.partial_results",
                        obs::Stability::kUnstable),
+        reg.GetCounter("tmn.index.segment.vectors_scanned"),
         reg.GetCounter("tmn.index.segment.wal_repair_retries",
                        obs::Stability::kUnstable),
         reg.GetCounter("tmn.index.segment.rotation_retries",
@@ -114,23 +119,29 @@ bool ScanSource(const std::vector<float>& vectors,
                 common::DeadlinePoller* budget_poller,
                 std::vector<ScoredId>* out) {
   std::priority_queue<ScoredId> best;  // Max-heap: worst of the k best.
+  // Blocks of rows go through one kernel call each; the pollers still
+  // tick once per row, in row order, before the block is scored.
+  constexpr size_t kBlock = 256;
+  const float* rows[kBlock] = {};
+  float dists[kBlock] = {};
   const size_t count = ids.size();
-  for (size_t i = 0; i < count; ++i) {
-    bool expired = query_poller != nullptr && query_poller->Tick();
-    if (budget_poller != nullptr && budget_poller->Tick()) expired = true;
-    if (expired) return false;
-    const float* v = &vectors[i * dim];
-    float dist = 0.0f;
-    for (size_t d = 0; d < dim; ++d) {
-      const float delta = v[d] - query[d];
-      dist += delta * delta;
+  for (size_t start = 0; start < count; start += kBlock) {
+    const size_t n = std::min(kBlock, count - start);
+    for (size_t i = 0; i < n; ++i) {
+      bool expired = query_poller != nullptr && query_poller->Tick();
+      if (budget_poller != nullptr && budget_poller->Tick()) expired = true;
+      if (expired) return false;
+      rows[i] = &vectors[(start + i) * dim];
     }
-    const ScoredId scored(dist, ids[i]);
-    if (best.size() < k) {
-      best.push(scored);
-    } else if (scored < best.top()) {
-      best.pop();
-      best.push(scored);
+    nn::kernels::Active().l2sq_rows(rows, n, query.data(), dim, dists);
+    for (size_t i = 0; i < n; ++i) {
+      const ScoredId scored(dists[i], ids[start + i]);
+      if (best.size() < k) {
+        best.push(scored);
+      } else if (scored < best.top()) {
+        best.pop();
+        best.push(scored);
+      }
     }
   }
   out->resize(best.size());
@@ -763,7 +774,11 @@ common::StatusOr<SegmentedSearchResult> SegmentedIndex::SearchTopK(
         budget.infinite() ? nullptr : &budget_poller;
     slot.skipped = !ScanSource(vectors, ids, options_.dim, query, k,
                                query_p, budget_p, &slot.topk);
-    if (slot.skipped) slot.topk.clear();
+    if (slot.skipped) {
+      slot.topk.clear();
+    } else {
+      metrics.vectors_scanned.Increment(ids.size());
+    }
   };
 
   // The reader lock is held only to scan the memtable (whose backing

@@ -172,12 +172,25 @@ double FrechetScalar(const double* a, size_t m, const double* b, size_t n) {
   return prev[n - 1];
 }
 
+void L2sqRowsScalar(const float* const* rows, size_t n, const float* q,
+                    size_t dim, float* out) {
+  for (size_t r = 0; r < n; ++r) {
+    const float* row = rows[r];
+    float total = 0.0f;
+    for (size_t d = 0; d < dim; ++d) {
+      const float diff = row[d] - q[d];
+      total += diff * diff;
+    }
+    out[r] = total;
+  }
+}
+
 constexpr KernelTable kScalarTable = {
     MatMulScalar,    AddScalar,        SubScalar,
     MulScalarKernel, AxpyScalar,       MulAccScalar,
     ScaleScalar,     AddRowVectorScalar, LeakyReluScalar,
     SoftmaxRowsScalar, LstmGatesScalar, DtwScalar,
-    FrechetScalar,
+    FrechetScalar,   L2sqRowsScalar,
 };
 
 Backend SelectBackend() {

@@ -28,6 +28,8 @@ namespace tmn::nn::kernels {
 //    row max (an exact selection) and the final element-wise divide.
 //  - The DP kernels may visit cells in another order (AVX2 walks
 //    anti-diagonals), but each cell keeps its operands and arithmetic.
+//  - Squared L2 vectorizes across rows, never across a row's dimensions:
+//    each AVX2 lane carries one row's sum in dimension order.
 // Consequently scalar-vs-AVX2 parity holds bit-for-bit (enforced by
 // tests/kernels_test.cc over odd/unaligned shapes), and results are
 // independent of thread count. See docs/KERNELS.md.
@@ -84,6 +86,14 @@ struct KernelTable {
   // every backend returns the same bits.
   double (*dtw)(const double* a, size_t m, const double* b, size_t n);
   double (*frechet)(const double* a, size_t m, const double* b, size_t n);
+  // Squared L2 of n rows against one query, each row and the query `dim`
+  // floats: out[r] = Σ_d (rows[r][d] − q[d])². Each row's sum runs in
+  // dimension order from 0.0f, with a separate sub, mul and add per
+  // dimension. Rows are a pointer array, so contiguous rows and scattered
+  // ones (graph neighbours) go through the same entry; pointers may
+  // repeat and need no alignment.
+  void (*l2sq_rows)(const float* const* rows, size_t n, const float* q,
+                    size_t dim, float* out);
 };
 
 // The process-wide active table (selected once, thread-safe).

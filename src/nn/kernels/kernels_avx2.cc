@@ -9,6 +9,8 @@
 //  - Separate _mm256_mul_ps + _mm256_add_ps everywhere — no FMA
 //    intrinsics, and -ffp-contract=off stops the compiler introducing any.
 //  - Transcendentals stay scalar std::exp/std::tanh.
+//  - Squared L2 vectorizes across rows: each lane sums one row in
+//    dimension order (see L2sqRowsAvx2).
 //  - Softmax: the row max is vectorized (max is an exact selection, so
 //    reassociation cannot change the value) and the final divide is
 //    element-wise _mm256_div_ps; the exp+denominator loop stays scalar
@@ -313,11 +315,82 @@ double FrechetAvx2(const double* a, size_t m, const double* b, size_t n) {
   return AntiDiagonalDp<FrechetCell>(a, m, b, n);
 }
 
+// Continues one row's squared-L2 chain over dimensions [from, dim), in
+// the scalar loop's order and arithmetic.
+float L2sqRowTail(const float* row, const float* q, size_t from, size_t dim,
+                  float total) {
+  for (size_t d = from; d < dim; ++d) {
+    const float diff = row[d] - q[d];
+    total += diff * diff;
+  }
+  return total;
+}
+
+// Transposes the 8×8 block in place: afterwards v[j] holds element j of
+// the eight input rows, input row i in lane i.
+void Transpose8x8(__m256 v[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  v[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  v[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  v[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  v[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  v[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  v[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  v[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  v[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// Eight rows per step, one per lane, as the matmul vectorizes across
+// output columns: an 8×8 block is loaded and transposed so that lane i
+// holds row i's dimensions d..d+7 in turn, and each lane's sum takes them
+// in dimension order. No gather: a vgatherdps variant gives the same bits
+// but is slower (docs/KERNELS.md). The n % 8 rows and the dim % 8
+// dimensions run the scalar loop per row.
+void L2sqRowsAvx2(const float* const* rows, size_t n, const float* q,
+                  size_t dim, float* out) {
+  const size_t d8 = dim & ~size_t{7};
+  size_t r = 0;
+  for (; r + 8 <= n; r += 8) {
+    const float* const* block = rows + r;
+    __m256 acc = _mm256_setzero_ps();
+    for (size_t d = 0; d < d8; d += 8) {
+      __m256 v[8];
+      for (int i = 0; i < 8; ++i) v[i] = _mm256_loadu_ps(block[i] + d);
+      Transpose8x8(v);
+      for (int j = 0; j < 8; ++j) {
+        const __m256 diff = _mm256_sub_ps(v[j], _mm256_set1_ps(q[d + j]));
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+      }
+    }
+    _mm256_storeu_ps(out + r, acc);
+    if (d8 == dim) continue;
+    for (size_t i = 0; i < 8; ++i) {
+      out[r + i] = L2sqRowTail(block[i], q, d8, dim, out[r + i]);
+    }
+  }
+  for (; r < n; ++r) out[r] = L2sqRowTail(rows[r], q, 0, dim, 0.0f);
+}
+
 constexpr KernelTable kAvx2Table = {
     MatMulAvx2,  AddAvx2,          SubAvx2,       MulAvx2,
     AxpyAvx2,    MulAccAvx2,       ScaleAvx2,     AddRowVectorAvx2,
     LeakyReluAvx2, SoftmaxRowsAvx2, LstmGatesAvx2, DtwAvx2,
-    FrechetAvx2,
+    FrechetAvx2, L2sqRowsAvx2,
 };
 
 bool CpuHasAvx2() {

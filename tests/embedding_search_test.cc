@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/deadline.h"
+#include "common/status.h"
 #include "eval/embedding_search.h"
 #include "nn/rng.h"
 
@@ -79,6 +81,45 @@ TEST(EmbeddingSearchTest, SelfQueryFindsSelfFirst) {
     ASSERT_EQ(result.size(), 1u);
     EXPECT_EQ(result[0], i);
   }
+}
+
+TEST(EmbeddingSearchTest, NearestCheckedMatchesNearestOnEveryBackend) {
+  // 700 rows: the brute-force scan crosses two block boundaries. Every
+  // tenth embedding repeats an earlier one, so distances tie.
+  auto embeddings = RandomEmbeddings(700, 16, 10);
+  for (size_t i = 10; i < embeddings.size(); i += 10) {
+    embeddings[i] = embeddings[i / 2];
+  }
+  nn::Rng rng(11);
+  for (SearchBackend backend :
+       {SearchBackend::kBruteForce, SearchBackend::kKdTree,
+        SearchBackend::kHnsw}) {
+    EmbeddingSearch search(embeddings, backend);
+    for (int t = 0; t < 8; ++t) {
+      const auto& q = embeddings[rng.UniformInt(embeddings.size())];
+      const auto checked = search.NearestChecked(q, 12);
+      ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+      EXPECT_EQ(checked.value(), search.Nearest(q, 12))
+          << SearchBackendName(backend);
+    }
+  }
+}
+
+TEST(EmbeddingSearchTest, BruteForceScanStopsAtTheDeadlineBetweenBlocks) {
+  // Each clock read advances one second: the deadline is made at 0 and
+  // expires at 1, the entry check reads 1, and the check before the
+  // second block of 256 reads 2.
+  static double now;
+  now = 0.0;
+  const auto clock = +[] { return now++; };
+  const auto embeddings = RandomEmbeddings(300, 4, 12);
+  EmbeddingSearch search(embeddings, SearchBackend::kBruteForce);
+  const auto deadline = common::Deadline::AfterSeconds(1.0, clock);
+  const auto result = search.NearestChecked(embeddings[0], 3, deadline);
+  EXPECT_EQ(result.status().code(), common::StatusCode::kDeadlineExceeded);
+  EXPECT_NE(result.status().ToString().find("brute-force scan"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 //    over shapes from 1x1 up to 65x67 so partial SIMD lanes (n % 8 != 0)
 //    and the zero-skip matmul path are exercised, and for the DTW and
 //    Fréchet DPs over every length pair up to 40x40, ties, repeated
-//    points and squared distances that overflow to inf;
+//    points and squared distances that overflow to inf, and for squared
+//    L2 over every row count up to 40 at every width up to 40 (and 128),
+//    through shuffled, repeated and unaligned row pointers;
 //  * the inference arena's ownership contract — buffer reuse across
 //    forwards never aliases live tensor data, and Clear() resets it;
 //  * the fused no-tape forwards (Lstm, TmnModel) match the op-graph
@@ -309,6 +311,124 @@ TEST(KernelParity, DpSquaredDistanceOverflowsToInf) {
   // Both outcomes occur, so the sweep covers the overflow.
   EXPECT_GT(infinite, 0);
   EXPECT_GT(finite, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Squared L2 over a pointer array of rows.
+
+// The contract as a plain loop: a float sum from 0.0f in dimension order,
+// one sub, mul and add per dimension.
+float ReferenceL2sq(const float* row, const float* q, size_t dim) {
+  float total = 0.0f;
+  for (size_t d = 0; d < dim; ++d) {
+    const float diff = row[d] - q[d];
+    total += diff * diff;
+  }
+  return total;
+}
+
+// n row pointers into one pool: rows start at pool + 1 + r * (dim + 3),
+// so most starts are not 32-byte aligned; the order is shuffled, and
+// every fifth pointer repeats an earlier one.
+struct L2Rows {
+  std::vector<float> pool;
+  std::vector<const float*> rows;
+};
+
+L2Rows MakeL2Rows(size_t n, size_t dim, float scale, Rng& rng) {
+  L2Rows out;
+  const size_t stride = dim + 3;
+  out.pool = RandomVec(n * stride + 1, rng);
+  for (float& v : out.pool) v *= scale;
+  for (size_t r = 0; r < n; ++r) {
+    out.rows.push_back(out.pool.data() + 1 + r * stride);
+  }
+  rng.Shuffle(out.rows);
+  for (size_t r = 4; r < n; r += 5) {
+    out.rows[r] = out.rows[rng.UniformInt(r)];
+  }
+  return out;
+}
+
+// Both backends and the reference loop on (rows, q), bit for bit.
+::testing::AssertionResult L2sqParity(const L2Rows& rows,
+                                      const std::vector<float>& q) {
+  const size_t n = rows.rows.size();
+  const size_t dim = q.size();
+  std::vector<float> reference(n);
+  for (size_t r = 0; r < n; ++r) {
+    reference[r] = ReferenceL2sq(rows.rows[r], q.data(), dim);
+  }
+  // Sentinel-filled outputs, one longer than n: a kernel must write every
+  // out[r] and nothing past out[n - 1].
+  std::vector<float> os(n + 1, -1.0f), ov(n + 1, -1.0f);
+  Scalar().l2sq_rows(rows.rows.data(), n, q.data(), dim, os.data());
+  Avx2()->l2sq_rows(rows.rows.data(), n, q.data(), dim, ov.data());
+  reference.push_back(-1.0f);
+  ::testing::AssertionResult scalar_ok = BitwiseEq(os, reference);
+  if (!scalar_ok) return scalar_ok << " (scalar vs reference loop)";
+  ::testing::AssertionResult avx2_ok = BitwiseEq(os, ov);
+  if (!avx2_ok) return avx2_ok << " (scalar vs avx2)";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(KernelParity, L2sqRowsEveryShapeUpTo40) {
+  if (Avx2() == nullptr) GTEST_SKIP() << "AVX2 backend unavailable";
+  // n crosses the 8-row step and dim the 8-wide block, both sides; dim
+  // 128 is the serving embedding width.
+  Rng rng(20);
+  std::vector<size_t> dims;
+  for (size_t dim = 1; dim <= 40; ++dim) dims.push_back(dim);
+  dims.push_back(128);
+  for (size_t dim : dims) {
+    for (size_t n = 0; n <= 40; ++n) {
+      const L2Rows rows = MakeL2Rows(n, dim, 1.0f, rng);
+      const std::vector<float> q = RandomVec(dim, rng);
+      ASSERT_TRUE(L2sqParity(rows, q)) << "n=" << n << " dim=" << dim;
+    }
+  }
+}
+
+TEST(KernelParity, L2sqRowsSquaresOverflowToInf) {
+  if (Avx2() == nullptr) GTEST_SKIP() << "AVX2 backend unavailable";
+  // Coordinates up to 2e19 in magnitude: a difference past about 1.8e19
+  // squares to inf, so some rows sum to inf and the rest stay finite.
+  Rng rng(21);
+  int infinite = 0;
+  int finite = 0;
+  for (size_t dim : {1, 7, 8, 9, 16, 17, 128}) {
+    for (size_t n : {1, 7, 8, 9, 16, 33}) {
+      const L2Rows rows = MakeL2Rows(n, dim, 1e19f, rng);
+      std::vector<float> q = RandomVec(dim, rng);
+      for (float& v : q) v *= 1e19f;
+      ASSERT_TRUE(L2sqParity(rows, q)) << "n=" << n << " dim=" << dim;
+      for (const float* row : rows.rows) {
+        (std::isinf(ReferenceL2sq(row, q.data(), dim)) ? infinite : finite) +=
+            1;
+      }
+    }
+  }
+  // Both outcomes occur, so the sweep covers the overflow.
+  EXPECT_GT(infinite, 0);
+  EXPECT_GT(finite, 0);
+}
+
+TEST(KernelScalar, L2sqRowsIsTheReferenceLoop) {
+  // The scalar entry is the reference on its own too, so the contract
+  // holds on machines without AVX2.
+  Rng rng(22);
+  for (size_t dim : {1, 3, 16, 31, 128}) {
+    const L2Rows rows = MakeL2Rows(19, dim, 1.0f, rng);
+    const std::vector<float> q = RandomVec(dim, rng);
+    std::vector<float> out(rows.rows.size());
+    Scalar().l2sq_rows(rows.rows.data(), rows.rows.size(), q.data(), dim,
+                       out.data());
+    for (size_t r = 0; r < rows.rows.size(); ++r) {
+      const float expected = ReferenceL2sq(rows.rows[r], q.data(), dim);
+      EXPECT_EQ(std::memcmp(&out[r], &expected, sizeof(float)), 0)
+          << "dim=" << dim << " row " << r;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

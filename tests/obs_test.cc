@@ -202,6 +202,8 @@ TEST(RunReportTest, SegmentIndexFamilyHasTheRightStabilitySplit) {
   EXPECT_GT(reg.GetGauge("tmn.index.segment.wal_bytes").value(), 0.0);
   // One timed scan per source: memtable + two segments.
   EXPECT_GE(reg.GetTimer("tmn.index.segment.search_seconds").count(), 3u);
+  // Every completed scan adds its vectors: 1 in the memtable, 2 + 2 sealed.
+  EXPECT_GE(reg.GetCounter("tmn.index.segment.vectors_scanned").value(), 5u);
 
   RunReport report("obs_segment_family");
   RunReportOptions stable_only;
@@ -214,6 +216,10 @@ TEST(RunReportTest, SegmentIndexFamilyHasTheRightStabilitySplit) {
   EXPECT_NE(stable.find("\"tmn.index.segment.wal_records_replayed\""),
             std::string::npos);
   EXPECT_NE(stable.find("\"tmn.index.segment.quarantined\""),
+            std::string::npos);
+  // The same work at any thread count (bench_micro_index repeats it
+  // exactly at 1 and 4 threads), so it gates.
+  EXPECT_NE(stable.find("\"tmn.index.segment.vectors_scanned\""),
             std::string::npos);
   EXPECT_EQ(stable.find("tmn.index.segment.search_seconds"),
             std::string::npos);
